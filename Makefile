@@ -1,6 +1,6 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-faults test-obs test-shard serve-test serve-demo trace-demo loop-demo bench bench-quick bench-check bench-batch bench-serve bench-shard bench-loop bench-paper experiments examples lint lint-json sanitize coverage
+.PHONY: install check test test-faults test-obs test-shard serve-test serve-demo trace-demo loop-demo bench bench-quick bench-check bench-batch bench-serve bench-shard bench-loop bench-paper experiments examples lint lint-json sanitize coverage perfbench
 
 install:
 	pip install -e . --no-build-isolation
@@ -123,6 +123,15 @@ bench-loop:
 
 bench-paper:
 	REPRO_SCALE=paper pytest benchmarks/ --benchmark-only
+
+# the repository benchmark (BENCHMARK.json), once per workload with its
+# output checks (verdict digests, accuracy floor, served == in-process,
+# mutated == rebuilt); stops at the first non-zero exit.  Takes about
+# two minutes, so it is not part of `make check`
+perfbench:
+	python3 perfbench/run.py --workload campaign --seed 501 --seconds 15 --trace 0
+	python3 perfbench/run.py --workload serve --seed 501 --seconds 15 --trace 0
+	python3 perfbench/run.py --workload churn --seed 77 --seconds 15 --trace 0
 
 experiments:
 	python examples/run_paper_experiments.py paper

@@ -460,18 +460,21 @@ class VerifAI:
         The lake removal runs first (KeyError/ValueError surface before
         anything is unindexed); the removed instance is returned.  After
         this, retrieval never surfaces the instance and
-        ``fetch_payload`` raises the lake's KeyError for it.
+        ``fetch_payload`` raises the lake's KeyError for it, and no cached
+        verification outcome against it (or its tuples) survives.
         """
         instance = self.lake.remove_instance(instance_id)
         self.indexer.remove_instance(instance)
+        self.verifier.invalidate(instance_id)
         return instance
 
     def update_instance(self, instance: DataInstance) -> DataInstance:
         """Replace a table/document in the lake AND the live indexes;
-        returns the old version.  Retrieval and payload fetches see the
-        new content immediately (no rebuild)."""
+        returns the old version.  Retrieval, payload fetches and
+        verification see the new content immediately (no rebuild)."""
         old = self.lake.update_instance(instance)
         self.indexer.update_instance(old, instance)
+        self.verifier.invalidate(instance.instance_id)
         return old
 
     def explain(self, report: VerificationReport) -> str:

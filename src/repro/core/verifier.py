@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.datalake.lake import DataLake
 from repro.datalake.types import DataInstance, Row
+from repro.index.shard import shard_key
 from repro.obs.metrics import get_registry
 from repro.obs.trace import NULL_BRANCH
 from repro.trust.model import weighted_vote
@@ -44,6 +45,10 @@ class VerifierModule:
     served from an in-process LRU cache (``cache=False`` disables it;
     ``cache_size`` bounds it).  The cache is thread-safe: the batch
     engine verifies objects from worker threads.
+
+    Outcomes are keyed by evidence instance id, so a lake write must
+    :meth:`invalidate` the written instance before its new content is
+    verified.
     """
 
     def __init__(
@@ -62,13 +67,16 @@ class VerifierModule:
         self._cache: Optional["OrderedDict[tuple, VerificationOutcome]"] = (
             OrderedDict() if cache else None
         )
+        #: write generation per evidence root id (see :meth:`invalidate`)
+        self._generations: Dict[str, int] = {}
         self._cache_lock = threading.Lock()
         self.cache_size = cache_size
         self.cache_hits = 0
         self._metrics = get_registry()
 
     def __len__(self) -> int:
-        """Number of memoized (object, evidence) outcomes."""
+        """Number of memoized (object, evidence) outcomes, counting those
+        :meth:`invalidate` retired until the LRU evicts them."""
         with self._cache_lock:
             return len(self._cache) if self._cache is not None else 0
 
@@ -86,8 +94,10 @@ class VerifierModule:
         self._metrics.counter("verifier.verifications").inc()
         if self._cache is None:
             return self.agent.verify(obj, evidence), False
-        key = _pair_key(obj, evidence)
+        content = _pair_key(obj, evidence)
+        root = shard_key(evidence.instance_id)
         with self._cache_lock:
+            key = (content, self._generations.get(root, 0))
             cached = self._cache.get(key)
             if cached is not None:
                 self.cache_hits += 1
@@ -108,6 +118,22 @@ class VerifierModule:
             entries = len(self._cache)
         self._metrics.gauge("verifier.cache.entries").set(entries)
         return outcome, False
+
+    def invalidate(self, instance_id: str) -> None:
+        """Retire every cached outcome whose evidence is ``instance_id``
+        or derived from it (a table's ``#rN`` tuples, a document's
+        passages).
+
+        Every cache key carries the write generation of its evidence's
+        root id; this bumps it, so a write costs O(1) instead of a scan
+        of the cache, and the retired outcomes age out of the LRU
+        unreachable.  A verification that read the old content while the
+        write ran caches under the old generation, so it cannot bring a
+        stale outcome back either.
+        """
+        root = shard_key(instance_id)
+        with self._cache_lock:
+            self._generations[root] = self._generations.get(root, 0) + 1
 
     def source_of(self, evidence: DataInstance) -> str:
         """Lake source name of an evidence instance."""

@@ -31,7 +31,7 @@ from repro.llm.prompts import (
     split_sections,
 )
 from repro.llm.reasoning import NoisyClaimReasoner
-from repro.text import analyze, normalize
+from repro.text import analyze, normalize, sentences
 from repro.text.numbers import numbers_in, parse_number
 from repro.text.similarity import jaccard
 
@@ -231,7 +231,12 @@ class SimulatedLLM:
 
         data_tuple = _parse_tuple_payload(data)
         evidence_tuple = _parse_tuple_payload(evidence)
-        evidence_table = _parse_table_payload(evidence)
+        # split_sections rejoins the evidence with "\n" alone, so a tuple
+        # payload (no newline) never has the three lines a table needs:
+        # at most one of the two parses can succeed
+        evidence_table = (
+            _parse_table_payload(evidence) if evidence_tuple is None else None
+        )
 
         if data_tuple is not None:
             if evidence_tuple is not None:
@@ -293,9 +298,10 @@ class SimulatedLLM:
         rng: random.Random,
     ) -> Tuple[str, str]:
         target = attribute or ""
+        normalized_target = normalize(target)
         data_identity = [
             value for column, value in data.items()
-            if normalize(column) != normalize(target)
+            if normalize(column) != normalized_target
         ]
         identity_tokens = set(analyze(" ".join(data_identity)))
         evidence_tokens = set(analyze(" ".join(evidence.values())))
@@ -308,7 +314,7 @@ class SimulatedLLM:
         # describe the *same* entity, not merely share attribute values
         anchor_tokens: set = set()
         for column, value in data.items():
-            if normalize(column) != normalize(target):
+            if normalize(column) != normalized_target:
                 anchor_tokens = set(analyze(value))
                 break
         anchor_overlap = (
@@ -366,10 +372,11 @@ class SimulatedLLM:
     ) -> Tuple[str, str]:
         # find the table row matching the tuple's identity, then defer to
         # tuple-vs-tuple logic
+        normalized_attribute = normalize(attribute or "")
         identity = {
             column: value
             for column, value in data.items()
-            if normalize(column) != normalize(attribute or "")
+            if normalize(column) != normalized_attribute
         }
         best_row: Optional[Dict[str, str]] = None
         best_score = 0.0
@@ -405,10 +412,11 @@ class SimulatedLLM:
         # subject of a page is its title (first line), so anchor there
         first_line, _, _ = text.partition("\n")
         normalized_title = normalize(first_line)
+        normalized_target = normalize(target)
         identifying = [
             value
             for column, value in data.items()
-            if normalize(column) != normalize(target)
+            if normalize(column) != normalized_target
             and parse_number(value) is None
             and len(value) >= 4
         ]
@@ -470,9 +478,7 @@ class SimulatedLLM:
         column_tokens = set(analyze(column))
         if not column_tokens:
             return True
-        from repro.text import sentences as split_sentences
-
-        for sentence in split_sentences(text):
+        for sentence in sentences(text):
             sentence_numbers = numbers_in(sentence)
             if any(abs(n - number) <= 1e-9 for n in sentence_numbers):
                 if column_tokens & set(analyze(sentence)):

@@ -53,9 +53,13 @@ def normalize(text: str) -> str:
 
     >>> normalize("  Café\\tRenée ")
     'cafe renee'
+
+    ASCII text skips the Unicode folding: NFKD maps every ASCII
+    character to itself and none of them is a combining mark.
     """
-    text = unicodedata.normalize("NFKD", text)
-    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    if not text.isascii():
+        text = unicodedata.normalize("NFKD", text)
+        text = "".join(ch for ch in text if not unicodedata.combining(ch))
     text = text.lower()
     return _WHITESPACE_RE.sub(" ", text).strip()
 

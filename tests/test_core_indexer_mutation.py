@@ -1,10 +1,11 @@
-"""Post-seal mutation audit and payload-cache coherence.
+"""Post-seal mutation audit and payload- and verifier-cache coherence.
 
 The sealed (compiled) BM25 read form must never serve stale rankings:
 any mutation after a ``search()`` — add, remove, or update — has to
 invalidate the seal, and the next search has to re-seal over the
 mutated corpus.  Likewise the Indexer's payload LRU must never return a
-removed or pre-update serialization.
+removed or pre-update serialization, and the Verifier's outcome cache
+must never return a verdict computed from pre-update evidence.
 """
 
 import pytest
@@ -15,6 +16,8 @@ from repro.core.pipeline import VerifAI
 from repro.datalake.serialize import serialize_instance
 from repro.datalake.types import Modality, Source, Table, TextDocument
 from repro.index.inverted import InvertedIndex
+from repro.verify.objects import ClaimObject, TupleObject
+from repro.verify.verdict import Verdict
 from repro.workloads.builder import LakeConfig, build_lake
 
 
@@ -276,3 +279,103 @@ class TestPayloadCacheCoherence:
         indexer.fetch_payload(doc_id)
         assert indexer.payload_cache_hits >= 1
         assert indexer.payload_cache_misses == misses
+
+
+# ---------------------------------------------------------------------------
+# verifier-cache coherence
+# ---------------------------------------------------------------------------
+def _edit_cell(table, row_index, column, value):
+    """``table`` with one cell replaced."""
+    rows = [tuple(row) for row in table.rows]
+    cells = list(rows[row_index])
+    cells[table.columns.index(column)] = value
+    rows[row_index] = tuple(cells)
+    return Table(
+        table_id=table.table_id, caption=table.caption,
+        columns=table.columns, rows=rows, source=table.source,
+        entity_columns=table.entity_columns,
+        key_column=table.key_column, metadata=dict(table.metadata),
+    )
+
+
+def _answer(report):
+    return (
+        report.final_verdict,
+        report.evidence_ids,
+        [(o.evidence_id, o.verdict, o.explanation) for o in report.outcomes],
+    )
+
+
+class TestVerifierCacheCoherence:
+    def test_reverify_after_cell_edit_matches_fresh_system(self):
+        """Regression: outcomes were cached by evidence id alone, so a
+        tuple re-verified after its table changed got the verdict
+        computed from the old cell."""
+        lake = build_lake(LakeConfig(num_tables=8, seed=49)).lake
+        system = VerifAI(lake).build_indexes()
+        table = lake.tables()[0]
+        row = table.row(0)
+        column = next(c for c in table.columns if c != table.key_column)
+        obj = TupleObject("t0", row, attribute=column)
+        before = system.verify(obj)
+        assert f"{table.table_id}#r0" in before.evidence_ids
+        system.update_instance(_edit_cell(table, 0, column, "999,999"))
+        after = system.verify(obj)
+        fresh = VerifAI(lake).build_indexes().verify(obj)
+        assert _answer(after) == _answer(fresh)
+        assert _answer(after) != _answer(before)
+
+    def test_reverify_after_document_edit_matches_fresh_system(self):
+        lake = build_lake(LakeConfig(num_tables=8, seed=50)).lake
+        system = VerifAI(lake).build_indexes()
+        doc = next(d for d in lake.documents() if d.entity)
+        obj = ClaimObject("c0", f"{doc.entity} is a record holder")
+        before = system.verify(obj, modalities=[Modality.TEXT])
+        assert doc.doc_id in before.evidence_ids
+        system.update_instance(TextDocument(
+            doc_id=doc.doc_id, title=doc.title,
+            text=f"{doc.entity} is a record holder. " + doc.text,
+            source=doc.source, entity=doc.entity,
+        ))
+        after = system.verify(obj, modalities=[Modality.TEXT])
+        fresh = VerifAI(lake).build_indexes().verify(
+            obj, modalities=[Modality.TEXT]
+        )
+        assert _answer(after) == _answer(fresh)
+        assert _answer(after) != _answer(before)
+
+    def test_update_retires_only_the_changed_instances_outcomes(self):
+        lake = build_lake(LakeConfig(num_tables=8, seed=51)).lake
+        system = VerifAI(lake).build_indexes()
+        first, second = lake.tables()[:2]
+
+        def verify_all(table):
+            """Verify every row and the table; returns the cache hits."""
+            before = system.verifier.cache_hits
+            for row in table.iter_rows():
+                system.verifier.verify_one(TupleObject("o", row), row)
+            system.verifier.verify_one(TupleObject("o", table.row(0)), table)
+            return system.verifier.cache_hits - before
+
+        assert verify_all(first) == 0 and verify_all(second) == 0
+        system.update_instance(_edit_cell(
+            first, 0, first.columns[-1], "edited"
+        ))
+        assert verify_all(second) == second.num_rows + 1
+        # unchanged rows of the edited table too: same content, same id
+        assert verify_all(lake.table(first.table_id)) == 0
+
+    def test_remove_then_readd_recomputes(self):
+        lake = build_lake(LakeConfig(num_tables=8, seed=52)).lake
+        system = VerifAI(lake).build_indexes()
+        table = lake.tables()[0]
+        column = table.columns[-1]
+        obj = TupleObject("o", table.row(0), attribute=column)
+        before = system.verifier.verify_one(obj, table.row(0))
+        assert before.verdict is Verdict.VERIFIED
+        system.remove_instance(table.table_id)
+        edited = _edit_cell(table, 0, column, "999,999")
+        lake.add_table(edited)
+        system.add_instance(edited)
+        after = system.verifier.verify_one(obj, edited.row(0))
+        assert after.verdict is Verdict.REFUTED

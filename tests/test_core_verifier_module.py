@@ -165,3 +165,103 @@ class TestCacheBound:
 
         with _pytest.raises(ValueError):
             self.make_module(tiny_lake, quiet_profile, cache_size=0)
+
+
+class TestInvalidate:
+    @staticmethod
+    def hits(module, obj, evidence):
+        before = module.cache_hits
+        module.verify_one(obj, evidence)
+        return module.cache_hits - before
+
+    def test_retires_a_table_and_its_tuples_only(self, module, election_table,
+                                                medal_table, tiny_lake):
+        obj = TupleObject("i", election_table.row(0), attribute="party")
+        page = tiny_lake.document("page-jenkins")
+        evidence = [
+            election_table.row(0), election_table.row(1), election_table,
+            medal_table.row(0), page,
+        ]
+        for item in evidence:
+            module.verify_one(obj, item)
+        module.invalidate(election_table.table_id)
+        module.invalidate("no-such-instance")
+        assert [self.hits(module, obj, item) for item in evidence] == [
+            0, 0, 0, 1, 1,
+        ]
+        module.invalidate("page-jenkins")
+        assert self.hits(module, obj, page) == 0
+        assert self.hits(module, obj, page) == 1
+
+    def test_cache_disabled_is_a_noop(self, tiny_lake, quiet_profile,
+                                      election_table):
+        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=22)
+        module = VerifierModule(
+            VerifierAgent([], fallback=LLMVerifier(llm)), tiny_lake,
+            cache=False,
+        )
+        module.invalidate(election_table.table_id)
+        module.verify_one(
+            TupleObject("i", election_table.row(0)), election_table.row(0)
+        )
+        assert len(module) == 0
+
+    def test_no_outcome_survives_invalidation_under_threads(
+        self, tiny_lake, quiet_profile, election_table, medal_table
+    ):
+        """Eight threads verify through a 5-entry cache while a ninth
+        invalidates; once every root is invalidated, no pair may be
+        served from the cache."""
+        import sys
+        import threading
+
+        llm = SimulatedLLM(knowledge=None, profile=quiet_profile, seed=24)
+        module = VerifierModule(
+            VerifierAgent([], fallback=LLMVerifier(llm)), tiny_lake,
+            cache_size=5,
+        )
+        evidence = (
+            list(election_table.iter_rows()) + list(medal_table.iter_rows())
+            + [election_table, medal_table] + tiny_lake.documents()
+        )
+        roots = sorted({item.instance_id.split("#")[0] for item in evidence})
+        objs = [
+            TupleObject("s", row, attribute="party")
+            for row in election_table.iter_rows()
+        ]
+        errors = []
+
+        def reader(worker):
+            try:
+                for step in range(60):
+                    obj = objs[(worker + step) % len(objs)]
+                    item = evidence[(worker * 7 + step) % len(evidence)]
+                    module.verify_one(obj, item)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def writer():
+            for step in range(60):
+                module.invalidate(roots[step % len(roots)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(worker,))
+                for worker in range(8)
+            ] + [threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < len(module) <= 5
+        for root in roots:
+            module.invalidate(root)
+        assert sum(
+            self.hits(module, obj, item) for obj in objs for item in evidence
+        ) == 0

@@ -329,3 +329,130 @@ class TestVerification:
         )
         verdict, _ = parse_verification_response(verifier_llm.chat(prompt))
         assert verdict == "refuted"
+
+
+# ---------------------------------------------------------------------------
+# golden: every verification response, byte for byte
+# ---------------------------------------------------------------------------
+
+#: sha256 over every response of :func:`_golden_verification_prompts`,
+#: recorded before the verifier's text path was optimised.  A change to
+#: normalization, tokenization or the verification handlers that moves
+#: any verdict *or* explanation moves this digest.
+GOLDEN_VERIFICATION_DIGEST = (
+    "708f1e15b295c69b40781e9d54af4b0df672c623a7043fd87096db9146c5584f"
+)
+
+
+def _accented(text: str) -> str:
+    """Non-ASCII variant of ``text``: accents and a no-break space."""
+    return text.replace("e", "\u00e9", 1).replace(" ", "\u00a0", 1)
+
+
+def _golden_verification_prompts():
+    """A fixed, seeded corpus of (family, prompt) pairs.
+
+    Tuples are checked against tuples (same row, a sibling row),
+    whole tables and entity pages; claims against their own table, a
+    foreign table, a row of their table and an entity page.  Some data
+    strings are corrupted and some carry non-ASCII text, so every
+    verdict and both normalization paths occur.
+    """
+    import random
+
+    from repro.workloads.builder import LakeConfig, build_lake
+    from repro.workloads.claimwl import build_claim_workload
+
+    bundle = build_lake(LakeConfig(num_tables=10, seed=5))
+    lake = bundle.lake
+    rng = random.Random(12)
+    documents = lake.documents()
+    tables = bundle.tables
+
+    def page_for(row):
+        for cell in row.values:
+            doc_id = bundle.pages_of(cell)
+            if doc_id is not None:
+                return lake.document(doc_id)
+        return rng.choice(documents)
+
+    def page_text(doc):
+        return f"{doc.title}\n{doc.text}"
+
+    prompts = []
+    for table in tables:
+        for row in list(table.iter_rows())[:4]:
+            attribute = rng.choice(list(row.columns) + [None])
+            data_row = row
+            if attribute is not None and rng.random() < 0.5:
+                data_row = row.replace_value(attribute, "999,999")
+            data = serialize_row(data_row)
+            if rng.random() < 0.2:
+                data = _accented(data)
+            sibling = table.row(rng.randrange(table.num_rows))
+            evidence = {
+                "tuple-vs-tuple": [serialize_row(row), serialize_row(sibling)],
+                "tuple-vs-table": [
+                    serialize_table(table),
+                    serialize_table(rng.choice(tables)),
+                ],
+                "tuple-vs-text": [
+                    page_text(page_for(row)),
+                    page_text(rng.choice(documents)),
+                ],
+            }
+            for family, payloads in evidence.items():
+                for payload in payloads:
+                    prompts.append((
+                        family,
+                        verification_prompt(payload, data, attribute=attribute),
+                    ))
+    claims = build_claim_workload(bundle, num_claims=30, seed=13)
+    for task in claims:
+        claim = task.claim
+        table = lake.table(task.table_id)
+        text = _accented(claim.text) if rng.random() < 0.2 else claim.text
+        subject = claim.spec.subject if claim.spec is not None else None
+        subject_rows = [
+            row for row in table.iter_rows() if subject in row.values
+        ]
+        row = subject_rows[0] if subject_rows else table.row(0)
+        evidence = {
+            "claim-vs-table": [
+                serialize_table(table), serialize_table(rng.choice(tables)),
+            ],
+            "claim-vs-tuple": [serialize_row(row)],
+            "claim-vs-text": [
+                page_text(page_for(row)), page_text(rng.choice(documents)),
+            ],
+        }
+        for family, payloads in evidence.items():
+            for payload in payloads:
+                prompts.append((
+                    family,
+                    verification_prompt(
+                        payload, text, context=claim.context or None
+                    ),
+                ))
+    return prompts
+
+
+class TestVerificationGolden:
+    def test_responses_match_the_recorded_digest(self):
+        import hashlib
+
+        llm = SimulatedLLM(knowledge=None, profile=LLMProfile(), seed=3)
+        digest = hashlib.sha256()
+        verdicts = {}
+        for family, prompt in _golden_verification_prompts():
+            response = llm.chat(prompt)
+            digest.update(response.encode("utf-8") + b"\x00")
+            verdict, _ = parse_verification_response(response)
+            verdicts.setdefault(family, set()).add(verdict)
+        # the corpus reaches every handler and more than one verdict in each
+        assert sorted(verdicts) == [
+            "claim-vs-table", "claim-vs-text", "claim-vs-tuple",
+            "tuple-vs-table", "tuple-vs-text", "tuple-vs-tuple",
+        ]
+        assert all(len(seen) >= 2 for seen in verdicts.values()), verdicts
+        assert digest.hexdigest() == GOLDEN_VERIFICATION_DIGEST

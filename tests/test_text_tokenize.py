@@ -1,7 +1,10 @@
 """Tokenization, normalization, sentence splitting, shingling."""
 
+import re
+import unicodedata
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.text import analyze, normalize, sentences, tokenize, tokenize_with_spans
 from repro.text.tokenize import shingle
@@ -24,6 +27,36 @@ class TestNormalize:
     def test_idempotent(self, text):
         once = normalize(text)
         assert normalize(once) == once
+
+
+def _normalize_oracle(text):
+    """``normalize`` as it was before its ASCII fast path: always NFKD."""
+    text = unicodedata.normalize("NFKD", text)
+    text = "".join(ch for ch in text if not unicodedata.combining(ch))
+    return re.sub(r"\s+", " ", text.lower()).strip()
+
+
+#: ASCII control and separator characters ``\s`` matches, and non-ASCII
+#: spaces (NEL, no-break space) that NFKD or ``\s`` treat specially
+_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0"
+
+
+class TestNormalizeMatchesUnicodeFolding:
+    @given(st.text(max_size=120))
+    @example("  Caf\u00e9\tRen\u00e9e ")
+    @example("\ufb01 \u2460 \uff21 \u212b")  # compatibility forms
+    def test_arbitrary_text(self, text):
+        assert normalize(text) == _normalize_oracle(text)
+
+    @given(st.text(alphabet=st.sampled_from("aZ9.,'" + _SPACES), max_size=60))
+    @example("a\x0bb\x0cc\x1cd\x1de\x1ef\x1fg")
+    @example("\x85a\xa0b\x85")
+    def test_spaces_and_controls(self, text):
+        assert normalize(text) == _normalize_oracle(text)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=120))
+    def test_ascii(self, text):
+        assert normalize(text) == _normalize_oracle(text)
 
 
 class TestTokenize:
