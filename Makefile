@@ -1,6 +1,6 @@
 # Convenience targets for the VerifAI reproduction.
 
-.PHONY: install check test test-faults test-obs test-shard serve-test serve-demo trace-demo loop-demo bench bench-quick bench-check bench-batch bench-serve bench-shard bench-loop bench-paper experiments examples lint lint-json sanitize coverage perfbench
+.PHONY: install check test test-faults test-obs test-shard serve-test serve-demo trace-demo loop-demo bench bench-quick bench-check bench-batch bench-serve bench-shard bench-loop bench-paper experiments examples lint lint-json sanitize coverage perfbench perfbench-test
 
 install:
 	pip install -e . --no-build-isolation
@@ -9,9 +9,9 @@ install:
 # (which includes the observability smoke below), the sharding/churn
 # differential suite with its slow soak, the timing-free differential
 # proofs behind the benchmark claims, the benchmark regression gate's
-# self-consistency check, and the concurrency suites under the lockset
-# race sanitizer
-check: lint test-obs serve-test test test-shard bench-quick bench-check sanitize coverage
+# self-consistency check, the concurrency suites under the lockset
+# race sanitizer, and the repository benchmark harness's unit tests
+check: lint test-obs serve-test test test-shard bench-quick bench-check sanitize coverage perfbench-test
 
 # tests/ includes tests/test_batch_faults.py, the fault-isolation suite
 # for verification campaigns (poisoned objects, retries, fail_fast, and
@@ -77,23 +77,24 @@ loop-demo:
 lint-json:
 	PYTHONPATH=src python -m repro.cli lint --json --baseline lint_baseline.json src/repro
 
-# the three concurrency suites under the Eraser-style lockset race
-# sanitizer (see docs/static_analysis.md); exit status 3 = races found
+# the concurrency suites under the Eraser-style lockset race sanitizer
+# (see docs/static_analysis.md): batch faults, index churn, and the
+# verification service; exit status 3 = races found
 sanitize:
 	PYTHONPATH=src python -m repro.cli sanitize -- -q \
-		tests/test_batch_faults.py tests/test_index_executor.py \
-		tests/test_index_churn.py
+		tests/test_batch_faults.py tests/test_index_churn.py \
+		tests/test_serve.py tests/test_serve_admission.py
 
 bench:
 	pytest benchmarks/ --benchmark-only
 
 # the timing-free half of the benchmark story: the bit-identity proofs
-# behind every speed claim (query-matrix kernel, memmap round-trip,
-# executor equivalence) — no timing assertions, pure score equality,
-# fast enough to gate every `make check`
+# behind every speed claim (query-matrix kernel, memmap round-trip)
+# — no timing assertions, pure score equality, fast enough to gate
+# every `make check`
 bench-quick:
 	PYTHONPATH=src pytest tests/test_index_matrix.py \
-		tests/test_index_memmap.py tests/test_index_executor.py -q
+		tests/test_index_memmap.py -q
 
 # the regression gate's self-consistency check: every committed
 # BENCH_*.json snapshot must diff clean against itself (exercises the
@@ -132,6 +133,10 @@ perfbench:
 	python3 perfbench/run.py --workload campaign --seed 501 --seconds 15 --trace 0
 	python3 perfbench/run.py --workload serve --seed 501 --seconds 15 --trace 0
 	python3 perfbench/run.py --workload churn --seed 77 --seconds 15 --trace 0
+
+# unit tests of the repository benchmark's harness (perfbench/)
+perfbench-test:
+	python3 -m pytest perfbench/test_harness.py -q
 
 experiments:
 	python examples/run_paper_experiments.py paper

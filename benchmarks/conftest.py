@@ -27,7 +27,7 @@ def pytest_benchmark_update_machine_info(config, machine_info):
     """Stamp the core count prominently into every BENCH_*.json.
 
     Parallel-vs-serial comparisons are meaningless without it: on a
-    single-core host the process executor *should* lose to serial, and
+    single-core host a parallel batch *should* lose to serial, and
     readers of the JSON need to see that context next to the numbers
     (see docs/performance.md).
     """
@@ -35,17 +35,6 @@ def pytest_benchmark_update_machine_info(config, machine_info):
     cpu = machine_info.setdefault("cpu", {})
     if isinstance(cpu, dict):
         cpu["count"] = cpu_count()
-
-
-def skip_unless_multicore(what: str) -> None:
-    """Skip a parallel-beats-serial assertion on single-core hosts,
-    loudly: the skip reason names the assertion so a BENCH refresh on
-    a small CI box reads as 'not asserted here', never 'passed'."""
-    if cpu_count() < 2:
-        pytest.skip(
-            f"single-core machine (cpu_count={cpu_count()}): "
-            f"{what} is only asserted on multicore hosts"
-        )
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Three comparisons the PR cares about:
 
-* sealed (vectorized) vs dict BM25 search throughput on the medium
+* sealed (vectorized) per-query BM25 search throughput on the medium
   tuple index;
 * per-object retrieval vs the query-matrix campaign pass on a sharded
   system — the matrix kernel's acceptance bar is >= 2x on retrieval
@@ -60,22 +60,13 @@ def fresh_system(context):
 
 
 # ----------------------------------------------------------------------
-# sealed vs dict BM25
+# sealed per-query BM25
 # ----------------------------------------------------------------------
 def test_bench_bm25_search_sealed(context, benchmark, sample_queries):
     index = context.system.indexer.content_index(Modality.TUPLE)
     index.seal()
 
     hits = benchmark(lambda: [index.search(q, 10) for q in sample_queries])
-    assert all(h for h in hits)
-
-
-def test_bench_bm25_search_dict(context, benchmark, sample_queries):
-    index = context.system.indexer.content_index(Modality.TUPLE)
-
-    hits = benchmark(
-        lambda: [index.search_dict(q, 10) for q in sample_queries]
-    )
     assert all(h for h in hits)
 
 

@@ -1,20 +1,12 @@
 """Sharded-index benchmarks.
 
-Five comparisons the sharding PRs care about:
+Four comparisons:
 
-* full index build: monolithic vs sharded-serial vs sharded-parallel
-  (the parallel build's headroom is bounded by the host's core count
-  and the GIL's treatment of this workload — the numbers recorded in
-  ``BENCH_shard.json`` are whatever the measurement machine honestly
-  produced, single-core hosts included);
+* full index build: monolithic vs sharded;
 * scatter-gather search vs monolithic search at equal corpus size;
 * live mutation (update + re-search) against the rebuild alternative;
 * memmap cold-attach of a sealed snapshot vs rebuilding the index from
-  the corpus — the persistence layer's acceptance bar is >= 5x;
-* thread-pool vs process-pool scatter-gather on a query campaign (the
-  process-beats-thread assertion only runs on multicore hosts — see
-  ``skip_unless_multicore`` — because on one core the process pool's
-  IPC is pure overhead).
+  the corpus — the persistence layer's acceptance bar is >= 5x.
 
 ``make bench-shard`` runs this file; the recorded baseline lives in
 ``BENCH_shard.json``.
@@ -28,7 +20,7 @@ from repro.datalake.types import Modality, TextDocument
 from repro.index.inverted import InvertedIndex
 from repro.index.persistence import attach_sealed_index, save_sealed_index
 
-from benchmarks.conftest import best_of, run_once, skip_unless_multicore
+from benchmarks.conftest import best_of, run_once
 
 SHARDS = 4
 
@@ -46,7 +38,7 @@ def build(context, **overrides):
 
 
 # ----------------------------------------------------------------------
-# build: monolithic vs sharded serial vs sharded parallel
+# build: monolithic vs sharded
 # ----------------------------------------------------------------------
 class TestBuild:
     def test_build_monolithic(self, benchmark, context):
@@ -54,16 +46,7 @@ class TestBuild:
         assert indexer.is_built
 
     def test_build_sharded_serial(self, benchmark, context):
-        indexer = run_once(
-            benchmark, build, context,
-            num_shards=SHARDS, shard_build_workers=1,
-        )
-        assert indexer.is_built
-
-    def test_build_sharded_parallel(self, benchmark, context):
-        indexer = run_once(
-            benchmark, build, context, num_shards=SHARDS,
-        )
+        indexer = run_once(benchmark, build, context, num_shards=SHARDS)
         assert indexer.is_built
 
 
@@ -182,62 +165,4 @@ class TestPersistence:
         assert rebuild >= 5.0 * attach, (
             f"attach speedup {rebuild / attach:.2f}x is under the 5x bar "
             f"(rebuild {rebuild * 1e3:.2f}ms, attach {attach * 1e3:.2f}ms)"
-        )
-
-
-# ----------------------------------------------------------------------
-# executors: thread-pool vs process-pool scatter-gather
-# ----------------------------------------------------------------------
-CAMPAIGN = QUERIES * 8  # a 32-query campaign, matrix-scored per shard
-
-
-def campaign_sweep(indexer):
-    total = 0
-    for modality in (Modality.TUPLE, Modality.TABLE, Modality.TEXT):
-        for hits in indexer.search_batch(CAMPAIGN, modality, 10):
-            total += len(hits)
-    return total
-
-
-@pytest.fixture(scope="module")
-def sharded_thread(context):
-    return build(
-        context, num_shards=SHARDS, shard_search_executor="thread"
-    )
-
-
-@pytest.fixture(scope="module")
-def sharded_process(context):
-    return build(
-        context, num_shards=SHARDS, shard_search_executor="process"
-    )
-
-
-class TestExecutors:
-    def test_bench_scatter_thread(self, benchmark, sharded_thread):
-        campaign_sweep(sharded_thread)  # warm: seal every shard
-        assert benchmark(campaign_sweep, sharded_thread) > 0
-
-    def test_bench_scatter_process(self, benchmark, sharded_process):
-        campaign_sweep(sharded_process)  # warm: spool + worker attach
-        assert benchmark(campaign_sweep, sharded_process) > 0
-
-    def test_bench_process_beats_thread(
-        self, benchmark, sharded_thread, sharded_process
-    ):
-        """Only meaningful with real parallel headroom: on a single
-        core the process pool's IPC is pure overhead and this skips."""
-        skip_unless_multicore("process-pool beats thread-pool scatter")
-        campaign_sweep(sharded_thread)
-        campaign_sweep(sharded_process)
-        thread_t = best_of(lambda: campaign_sweep(sharded_thread))
-        process_t = best_of(lambda: campaign_sweep(sharded_process))
-        benchmark.extra_info["thread_s"] = thread_t
-        benchmark.extra_info["process_s"] = process_t
-        benchmark.extra_info["speedup"] = thread_t / process_t
-        run_once(benchmark, campaign_sweep, sharded_process)
-        assert process_t < thread_t, (
-            f"process scatter ({process_t * 1e3:.2f}ms) did not beat "
-            f"thread scatter ({thread_t * 1e3:.2f}ms) on a "
-            "multicore host"
         )

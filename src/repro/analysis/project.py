@@ -101,8 +101,8 @@ class ModuleInfo:
     rel_path: str
     tree: ast.Module
     ctx: LintContext
-    #: local alias -> dotted target (``shard_executor`` ->
-    #: ``repro.index.executor``; ``save_sealed_index`` ->
+    #: local alias -> dotted target (``np`` -> ``numpy``;
+    #: ``save_sealed_index`` ->
     #: ``repro.index.persistence.save_sealed_index``)
     imports: Dict[str, str] = field(default_factory=dict)
     #: names defined at module top level (functions, classes, constants)

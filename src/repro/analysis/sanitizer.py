@@ -36,7 +36,7 @@ hand-off as a race.
 
 Run it three ways::
 
-    repro sanitize -- -q tests/test_index_executor.py   # CLI wrapper
+    repro sanitize -- -q tests/test_index_churn.py      # CLI wrapper
     pytest -p repro.analysis.sanitizer ...              # pytest plugin
     with sanitized():                                   # in a test
         ...

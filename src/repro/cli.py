@@ -67,10 +67,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _system_for(args: argparse.Namespace) -> VerifAI:
     lake = load_lake(args.lake)
-    config = VerifAIConfig(
-        num_shards=getattr(args, "shards", 1),
-        shard_search_executor=getattr(args, "shard_executor", "serial"),
-    )
+    config = VerifAIConfig(num_shards=getattr(args, "shards", 1))
     return VerifAI(lake, config=config).build_indexes()
 
 
@@ -247,10 +244,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     lake = load_lake(args.lake)
-    config = VerifAIConfig(
-        num_shards=args.shards,
-        shard_search_executor=args.shard_executor,
-    )
+    config = VerifAIConfig(num_shards=args.shards)
     system = VerifAI(lake, config=config)
     serve_config = ServeConfig(
         host=args.host,
@@ -592,13 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1,
         help="index shard count (1 = monolithic; results are identical)",
     )
-    p.add_argument(
-        "--shard-executor", default="serial",
-        choices=["serial", "thread", "process"],
-        help="how scatter-gather search fans out across shards "
-             "(process = memmap-attached workers; results are identical "
-             "for all three)",
-    )
     p.set_defaults(func=_cmd_verify_batch)
 
     p = sub.add_parser(
@@ -682,11 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shards", type=int, default=1,
         help="index shard count (1 = monolithic; results are identical)",
-    )
-    p.add_argument(
-        "--shard-executor", default="serial",
-        choices=["serial", "thread", "process"],
-        help="how scatter-gather search fans out across shards",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -11,9 +11,8 @@ three scaling moves the serial loop cannot make:
   the inputs alone, so the reported dedup counters (and the ``dedup``
   span attribute) are deterministic regardless of which worker happens
   to execute a shared retrieval first;
-* **query-matrix retrieval** — with ``config.batch_matrix_retrieval``
-  (the default) the deduplicated queries of each modality are scored
-  as *one* query-matrix BM25 pass per index
+* **query-matrix retrieval** — the deduplicated queries of each
+  modality are scored as *one* query-matrix BM25 pass per index
   (:meth:`VerifAI.retrieval_stages_batch`) that prefills the
   retrieval cache before workers start; the matrix kernel is
   bit-identical to the per-query path, and spans are always replayed
@@ -353,7 +352,7 @@ class BatchEngine:
             # either way, so reports and traces are unchanged; a prefill
             # fault just leaves the cache cold and the per-object error
             # boundary tells the story as usual.
-            if system.config.batch_matrix_retrieval and plan_first:
+            if plan_first:
                 by_modality: Dict[Modality, List[tuple]] = {}
                 for key in plan_first:  # insertion = input order
                     by_modality.setdefault(key[2], []).append(key)

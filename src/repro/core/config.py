@@ -46,21 +46,8 @@ class VerifAIConfig:
       index into this many shards by stable hash of the instance id's
       root (1 = the monolithic index).  Scatter-gather search is
       proven hit-for-hit identical to the unsharded build
-      (tests/test_index_sharding.py), so this is purely a scale knob;
-    * ``shard_build_workers`` — threads used to build shards in
-      parallel (0 = one worker per shard, 1 = serial build; only
-      meaningful when ``num_shards > 1``);
-    * ``shard_search_executor`` — how scatter-gather search fans out
-      across shards: ``"serial"`` (default), ``"thread"``, or
-      ``"process"`` (workers memmap-attach sealed shard snapshots and
-      return compact id/score arrays — no corpus pickling).  Purely a
-      wall-clock knob: all three produce identical hits, scores, and
-      traces (see :mod:`repro.index.executor`);
-    * ``batch_matrix_retrieval`` — let the batch engine score each
-      deduplicated campaign's queries as one query-matrix BM25 pass
-      per index instead of per-query loops.  Bit-identical to the
-      per-query path (differential-tested), so this too is purely a
-      throughput knob.
+      (tests/test_index_sharding.py), so this is purely a scale knob.
+      Shards build one after another and search scatters serially.
     """
 
     k_coarse: int = 50
@@ -79,9 +66,6 @@ class VerifAIConfig:
     batch_max_workers: int = 1
     batch_max_retries: int = 0
     num_shards: int = 1
-    shard_build_workers: int = 0
-    shard_search_executor: str = "serial"
-    batch_matrix_retrieval: bool = True
 
     def fine_k(self, modality: Modality) -> int:
         """Shortlist size for one modality."""

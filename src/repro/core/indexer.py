@@ -13,10 +13,10 @@ chunk hits are folded back to their parent documents.
 With ``config.num_shards > 1`` every modality's content + semantic
 index is partitioned into N shards by stable hash of the instance id's
 root (chunks co-locate with their parent document, tuples with their
-parent table), shards build in parallel, and ``search()`` runs
-scatter-gather.  Shard results are proven hit-for-hit identical — ids
-*and* scores — to the monolithic build (tests/test_index_sharding.py),
-so downstream modules never know shards exist.
+parent table), and ``search()`` runs scatter-gather.  Shard results are
+proven hit-for-hit identical — ids *and* scores — to the monolithic
+build (tests/test_index_sharding.py), so downstream modules never know
+shards exist.
 
 The module supports the full incremental lifecycle: instances added to
 the lake after :meth:`build` fold in with :meth:`add_instance`, and
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
@@ -42,7 +41,6 @@ from repro.embed.chunker import chunk_document
 from repro.embed.vectorizers import HashingVectorizer
 from repro.index.base import SearchHit, SearchIndex
 from repro.index.combiner import Combiner, FusionMethod
-from repro.index.executor import validate_executor_mode
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import (
     ShardedInvertedIndex,
@@ -63,7 +61,7 @@ _INDEXED_MODALITIES = (
 )
 
 #: (shard number, build start, build end, entries built) timings the
-#: parallel build reports for metrics and spans
+#: shard build reports for metrics and spans
 _ShardTiming = Tuple[int, float, float, int]
 
 
@@ -99,7 +97,6 @@ class IndexerModule:
             raise ValueError(
                 f"num_shards must be >= 1, got {self.config.num_shards}"
             )
-        validate_executor_mode(self.config.shard_search_executor)
         self.clock: Clock = clock or MonotonicClock()
         self._content: Dict[Modality, SearchIndex] = {}
         self._semantic: Dict[Modality, SearchIndex] = {}
@@ -150,7 +147,6 @@ class IndexerModule:
             return ShardedInvertedIndex(
                 self.config.num_shards,
                 name=f"bm25-{modality.value}",
-                executor=self.config.shard_search_executor,
             )
         return InvertedIndex(name=f"bm25-{modality.value}")
 
@@ -163,7 +159,6 @@ class IndexerModule:
                 dim=self.config.embedding_dim,
                 encoder=self._vectorizer.transform,
                 name=f"vec-{modality.value}",
-                executor=self.config.shard_search_executor,
             )
         return FlatVectorIndex(
             dim=self.config.embedding_dim,
@@ -243,20 +238,19 @@ class IndexerModule:
         semantic: Optional[ShardedVectorIndex],
         entries: Sequence[Tuple[str, str]],
     ) -> List[_ShardTiming]:
-        """Partition the entries and build every shard, in parallel when
-        ``config.shard_build_workers`` allows.
+        """Partition the entries and build every shard, one after
+        another.
 
-        Each shard is written by exactly one worker (the partition is
-        disjoint), so the build needs no locks; indexes are added to
-        shard sub-indexes directly, skipping the wrapper's per-add
-        seal invalidation (nothing is sealed yet).
+        Entries are added to the shard sub-indexes directly, skipping
+        the wrapper's per-add seal invalidation (nothing is sealed yet).
         """
         num_shards = self.config.num_shards
         buckets: List[List[Tuple[str, str]]] = [[] for _ in range(num_shards)]
         for entry in entries:
             buckets[shard_of(entry[0], num_shards)].append(entry)
 
-        def build_one(shard_no: int) -> _ShardTiming:
+        timings: List[_ShardTiming] = []
+        for shard_no in range(num_shards):
             start = self.clock.now()
             content_shard = content.shards[shard_no]
             semantic_shard = (
@@ -266,16 +260,9 @@ class IndexerModule:
                 content_shard.add(index_id, payload)
                 if semantic_shard is not None:
                     semantic_shard.add(index_id, payload)
-            return shard_no, start, self.clock.now(), len(buckets[shard_no])
-
-        workers = self.config.shard_build_workers or num_shards
-        if workers > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, num_shards)
-            ) as pool:
-                timings = list(pool.map(build_one, range(num_shards)))
-        else:
-            timings = [build_one(i) for i in range(num_shards)]
+            timings.append(
+                (shard_no, start, self.clock.now(), len(buckets[shard_no]))
+            )
         return timings
 
     def _record_shard_build(
@@ -283,9 +270,8 @@ class IndexerModule:
     ) -> None:
         """Report per-shard build metrics, and spans when tracing.
 
-        Span indexes are the shard numbers, so the trace shape is
-        identical however the parallel build interleaved; start/end are
-        backfilled from the worker-measured times."""
+        Span indexes are the shard numbers; start/end are backfilled
+        from the times measured around each shard's build."""
         build_seconds = self._metrics.histogram("indexer.shard.build_seconds")
         for _, start, end, _ in timings:
             build_seconds.observe(end - start)
@@ -309,7 +295,7 @@ class IndexerModule:
                     attributes={"shard": shard_no, "entries": entry_count},
                 ) as shard_span:
                     shard_spans.append((shard_span, start, end))
-        # replace open/close stamps with the worker-measured windows
+        # replace open/close stamps with the measured build windows
         for shard_span, start, end in shard_spans:
             shard_span.start = start
             shard_span.end = end
@@ -492,8 +478,7 @@ class IndexerModule:
         """Compile every content index's vectorized read form up front
         (otherwise sealing happens lazily on first search)."""
         for index in self._content.values():
-            if index.auto_seal:
-                index.seal()
+            index.seal()
         return self
 
     def fetch_payload(self, instance_id: str) -> str:

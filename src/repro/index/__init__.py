@@ -21,7 +21,7 @@ from repro.index.base import SearchHit, SearchIndex
 from repro.index.combiner import Combiner, FusionMethod
 from repro.index.hnsw import HNSWIndex
 from repro.index.inverted import CorpusStats, InvertedIndex
-from repro.index.persistence import load_inverted_index, save_inverted_index
+from repro.index.persistence import attach_sealed_index, save_sealed_index
 from repro.index.shard import (
     GlobalBM25Stats,
     ShardedInvertedIndex,
@@ -53,9 +53,9 @@ __all__ = [
     "Trie",
     "TrigramIndex",
     "VectorIndex",
-    "load_inverted_index",
+    "attach_sealed_index",
     "merge_shard_hits",
-    "save_inverted_index",
+    "save_sealed_index",
     "shard_key",
     "shard_of",
 ]

@@ -15,16 +15,17 @@ The index has two execution forms:
   idf and length-normalization arrays, dense score accumulation over a
   single float64 buffer, and ``argpartition``-based top-k selection.
 
-``search`` compiles the sealed form lazily and any ``add`` invalidates
-it, so callers never see a stale ranking.  Both paths produce
-bit-identical hit lists: the sealed scorer replays the exact arithmetic
-of the dict scorer (same operation order, same IEEE doubles) and breaks
-ties on instance id the same way.  Token contributions accumulate in
-**sorted token order** on every path — per-query dict, per-query
-sealed, and the batched :meth:`InvertedIndex.search_matrix` kernel —
-which is what lets the query-matrix kernel (one vectorized pass per
-token over all queries) reproduce the per-query float64 sums bit for
-bit.
+Every search scores against the sealed form: ``search`` compiles it
+lazily and any write invalidates it, so callers never see a stale
+ranking.  The sealed scorer replays the exact arithmetic of a plain
+BM25 walk over the dict postings (same operation order, same IEEE
+doubles, ties broken on instance id) — the test suite keeps that walk
+as its oracle (``tests/bm25_oracle.py``) and asserts hit-for-hit
+equality.  Token contributions accumulate in **sorted token order** on
+both the per-query kernel and the batched
+:meth:`InvertedIndex.search_matrix` kernel, which is what lets the
+query-matrix kernel (one vectorized pass per token over all queries)
+reproduce the per-query float64 sums bit for bit.
 
 Because the sealed form is a handful of flat arrays, it is also the
 **persistence unit**: :mod:`repro.index.persistence` writes the arrays
@@ -57,13 +58,10 @@ import threading
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy powers the sealed form; the dict form needs nothing
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.index.base import SearchHit, SearchIndex, top_k
+from repro.index.base import SearchHit, SearchIndex
 from repro.text import analyze
 
 
@@ -192,7 +190,6 @@ class InvertedIndex(SearchIndex):
         b: float = 0.75,
         remove_stopwords: bool = True,
         stemming: bool = True,
-        auto_seal: bool = True,
     ) -> None:
         if k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {k1}")
@@ -203,14 +200,14 @@ class InvertedIndex(SearchIndex):
         self.b = b
         self.remove_stopwords = remove_stopwords
         self.stemming = stemming
-        self.auto_seal = auto_seal and np is not None
         self._postings: Dict[str, Dict[str, int]] = defaultdict(dict)
         self._doc_length: Dict[str, int] = {}
         self._total_length = 0
         self._sealed: Optional[_SealedPostings] = None
-        # serializes the lazy compile in seal()/_contrib_flat(): the
-        # scatter paths fan search out over threads, and two of them
-        # hitting an unsealed shard must not compact concurrently
+        # serializes the lazy compile in seal()/_contrib_flat(): batch
+        # workers and serve request threads search one shared index,
+        # and two of them hitting it unsealed must not compact
+        # concurrently
         self._seal_lock = threading.Lock()
         # ids removed but not yet purged from the postings; any scoring
         # read compacts first, so stale entries are never scored
@@ -357,15 +354,13 @@ class InvertedIndex(SearchIndex):
     def seal(self) -> "InvertedIndex":
         """Compile the postings into the flat vectorized read form.
 
-        Idempotent; called lazily by :meth:`search` when ``auto_seal``
-        is on.  The next :meth:`add` invalidates the compiled form.
+        Idempotent; called lazily by :meth:`search`.  The next
+        :meth:`add` invalidates the compiled form.
         Safe under concurrent readers: the compile (which includes a
         :meth:`compact` postings walk) runs under a lock, so a second
         searching thread blocks instead of reading half-compacted
         postings or publishing a duplicate seal.
         """
-        if np is None:
-            raise RuntimeError("sealing requires numpy")
         if self._sealed is not None:
             return self
         with self._seal_lock:
@@ -383,7 +378,7 @@ class InvertedIndex(SearchIndex):
         norm = np.empty(len(doc_ids), dtype=np.float64)
         for i, doc_id in enumerate(doc_ids):
             doc_len = self._doc_length[doc_id]
-            # exactly the dict scorer's denominator term, hoisted per doc
+            # the per-document BM25 denominator term, hoisted per doc
             norm[i] = self.k1 * (
                 1 - self.b + self.b * doc_len / avg_len if avg_len else 1.0
             )
@@ -416,9 +411,7 @@ class InvertedIndex(SearchIndex):
         self, scores: "np.ndarray", matched: "np.ndarray", k: int
     ) -> List[Tuple[int, float]]:
         """Top-k ``(doc index, score)`` pairs under the ``(-score, id)``
-        total order — the one selection routine every sealed path
-        (per-query, query-matrix, memmap worker) shares, so their
-        rankings cannot drift apart."""
+        total order."""
         sealed = self._sealed
         candidates = np.nonzero(matched)[0]
         if candidates.size == 0 or k <= 0:
@@ -455,14 +448,13 @@ class InvertedIndex(SearchIndex):
         scores = np.zeros(num_docs, dtype=np.float64)
         matched = np.zeros(num_docs, dtype=bool)
         # sorted token order: the canonical accumulation order shared
-        # with search_dict and the query-matrix kernel, so all three
-        # produce identical float64 sums
+        # with the query-matrix kernel, so both produce identical
+        # float64 sums
         for token, query_count in sorted(Counter(tokens).items()):
             entry = sealed.posting(token)
             if entry is None:
                 continue
             idx, tf, idf = entry
-            # identical arithmetic (and evaluation order) to the dict path
             scores[idx] += (
                 idf * (tf * (self.k1 + 1)) / (tf + sealed.norm[idx])
                 * query_count
@@ -624,18 +616,13 @@ class InvertedIndex(SearchIndex):
     ) -> List[List[SearchHit]]:
         """Score a whole batch of queries in one query-matrix pass.
 
-        Bit-identical to ``[self.search(q, k) for q in queries]`` on the
-        sealed path (differential-tested); falls back to the per-query
-        dict scorer when numpy is unavailable."""
+        Bit-identical to ``[self.search(q, k) for q in queries]``
+        (differential-tested)."""
         queries = list(queries)
         if len(queries) == 1:
             # a 1-row matrix pays the stream-assembly overhead for no
             # sharing; the per-query kernel is bit-identical and faster
             return [self.search(queries[0], k)]
-        if self._sealed is None and self.auto_seal and self._doc_length:
-            self.seal()
-        if self._sealed is None:
-            return [self.search_dict(query, k) for query in queries]
         return self.search_matrix_planned(self.plan_matrix(queries), k)
 
     def search_matrix_planned(
@@ -647,34 +634,10 @@ class InvertedIndex(SearchIndex):
         (:meth:`plan_matrix`) and call this on every shard, so the
         per-query analysis and inversion cost is paid once per campaign
         instead of once per shard."""
-        if self._sealed is None and self.auto_seal and self._doc_length:
-            self.seal()
         if self._sealed is None:
-            return [self.search_dict(query, k) for query in plan.queries]
+            self.seal()
         ranked = self._score_matrix(plan, k)
         return [self._hits_from_ranked(r) for r in ranked]
-
-    def search_matrix_arrays(
-        self, queries: Sequence[str], k: int = 10
-    ) -> List[Tuple["np.ndarray", "np.ndarray"]]:
-        """Like :meth:`search_matrix`, but returning one compact
-        ``(doc index array, score array)`` pair per query — the wire
-        format the process-pool shard workers ship back (indexes into
-        the sealed ``doc_ids`` order instead of repeated id strings)."""
-        queries = list(queries)
-        if self._sealed is None:
-            if np is None:
-                raise RuntimeError("search_matrix_arrays requires numpy")
-            self.seal()
-        ranked = self._score_matrix(self.plan_matrix(queries), k)
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for r in ranked:
-            idx = np.fromiter((i for i, _ in r), dtype=np.int64, count=len(r))
-            sc = np.fromiter(
-                (score for _, score in r), dtype=np.float64, count=len(r)
-            )
-            out.append((idx, sc))
-        return out
 
     def search_batch(
         self, queries: Sequence[str], k: int = 10
@@ -686,37 +649,6 @@ class InvertedIndex(SearchIndex):
     # search
     # ------------------------------------------------------------------
     def search(self, query: str, k: int = 10) -> List[SearchHit]:
-        if self._sealed is None and self.auto_seal and self._doc_length:
+        if self._sealed is None:
             self.seal()
-        if self._sealed is not None:
-            return self._search_sealed(query, k)
-        return self.search_dict(query, k)
-
-    def search_dict(self, query: str, k: int = 10) -> List[SearchHit]:
-        """Reference scorer over the dict postings (the original path).
-
-        Kept as the differential-testing oracle for the sealed form and
-        as the fallback when numpy is unavailable.
-        """
-        self.compact()
-        tokens = self._analyze(query)
-        if not tokens or not self._doc_length:
-            return []
-        avg_len = self.avg_doc_length
-        scores: Dict[str, float] = defaultdict(float)
-        # sorted token order — see _search_sealed: one canonical
-        # accumulation order across all scoring paths
-        for token, query_count in sorted(Counter(tokens).items()):
-            postings = self._postings.get(token)
-            if not postings:
-                continue
-            idf = self.idf(token)
-            for instance_id, tf in postings.items():
-                doc_len = self._doc_length[instance_id]
-                denom = tf + self.k1 * (
-                    1 - self.b + self.b * doc_len / avg_len if avg_len else 1.0
-                )
-                scores[instance_id] += (
-                    idf * (tf * (self.k1 + 1)) / denom * query_count
-                )
-        return top_k(scores, k, self.name)
+        return self._search_sealed(query, k)

@@ -1,28 +1,16 @@
-"""Index persistence.
+"""Index persistence: the sealed memmap snapshot.
 
 Rebuilding a BM25 index over a large lake on every process start is the
-dominant cold-start cost; these helpers snapshot an
-:class:`~repro.index.inverted.InvertedIndex` to JSON and restore it
-without re-analyzing the corpus.
-
-Sharded indexes (:class:`~repro.index.shard.ShardedInvertedIndex`)
-snapshot as one manifest file per logical index plus one payload per
-shard; shards are compacted (tombstones purged) before writing, so a
-snapshot never carries dead postings.
-
-Two persistence families live here:
-
-* the **JSON snapshots** above — the *write-path* (dict) form, fully
-  mutable after load;
-* the **sealed memmap snapshots** — the compiled read form's flat
-  contiguous arrays written as raw binaries next to a versioned
-  ``manifest.json``.  :func:`attach_sealed_index` re-creates the index
-  **zero-copy**: the arrays are ``np.memmap``-attached read-only, so N
-  worker processes share one set of OS page-cache pages instead of N
-  pickled copies of the corpus, and cold start skips tokenization,
-  BM25 statistics, and sealing entirely.  Attached indexes refuse
-  mutation; rankings are bit-identical to the in-memory sealed index
-  the snapshot was written from.
+dominant cold-start cost.  :func:`save_sealed_index` writes the compiled
+read form's flat contiguous arrays (see
+:class:`~repro.index.inverted.InvertedIndex`) as raw binaries next to a
+versioned ``manifest.json``; :func:`attach_sealed_index` re-creates the
+index **zero-copy**: the arrays are ``np.memmap``-attached read-only,
+so processes attaching one snapshot share one set of OS page-cache
+pages, and cold start skips tokenization, BM25 statistics, and sealing
+entirely.  Attached indexes refuse mutation; rankings are
+bit-identical to the in-memory sealed index the snapshot was written
+from.
 
 Every manifest carries a format version and array geometry; a
 truncated, corrupted, or version-skewed snapshot fails with a clean
@@ -34,23 +22,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-try:  # the sealed memmap family requires numpy; JSON snapshots do not
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.index.inverted import InvertedIndex, _SealedPostings
-from repro.index.shard import ShardedInvertedIndex
-from repro.index.vector import FlatVectorIndex
 
-_FORMAT_VERSION = 1
-_SHARDED_FORMAT_VERSION = 1
 _SEALED_FORMAT_VERSION = 1
 _SEALED_KIND = "sealed-inverted"
-_SEALED_SHARDED_KIND = "sealed-sharded"
-_SEALED_VECTOR_KIND = "sealed-vector"
 
 #: the flat sealed arrays and their on-disk dtypes, in manifest order
 _SEALED_ARRAYS = {
@@ -123,120 +102,12 @@ def _attach_array(
     return np.memmap(path, dtype=dtype, mode="r", shape=(count,))
 
 
-def _index_payload(index: InvertedIndex) -> dict:
-    """The JSON-serializable snapshot of one inverted index."""
-    index.compact()
-    return {
-        "version": _FORMAT_VERSION,
-        "name": index.name,
-        "k1": index.k1,
-        "b": index.b,
-        "remove_stopwords": index.remove_stopwords,
-        "stemming": index.stemming,
-        "doc_length": index._doc_length,
-        "total_length": index._total_length,
-        # the JSON snapshot serializes the *dict* write form, so walking
-        # the postings here is the point, not a missed vectorization
-        "postings": {  # repro-lint: disable=PERF001
-            token: postings for token, postings in index._postings.items()
-        },
-    }
-
-
-def _index_from_payload(payload: dict) -> InvertedIndex:
-    """Rebuild one inverted index from its snapshot payload."""
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported index format version: {payload.get('version')!r}"
-        )
-    index = InvertedIndex(
-        name=payload["name"],
-        k1=payload["k1"],
-        b=payload["b"],
-        remove_stopwords=payload["remove_stopwords"],
-        stemming=payload["stemming"],
-    )
-    index._doc_length = dict(payload["doc_length"])
-    index._total_length = payload["total_length"]
-    for token, postings in payload["postings"].items():
-        index._postings[token] = {
-            doc_id: int(count) for doc_id, count in postings.items()
-        }
-    return index
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False)
 
 
-def save_inverted_index(index: InvertedIndex, path: Union[str, Path]) -> None:
-    """Snapshot an inverted index to ``path``."""
-    _write_json(_index_payload(index), Path(path))
-
-
-def load_inverted_index(path: Union[str, Path]) -> InvertedIndex:
-    """Restore an inverted index written by :func:`save_inverted_index`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return _index_from_payload(payload)
-
-
-def save_sharded_index(
-    index: ShardedInvertedIndex, path: Union[str, Path]
-) -> None:
-    """Snapshot a sharded inverted index as one manifest at ``path``.
-
-    Shard payloads are embedded in the manifest (the shard partition is
-    a pure function of the ids, but persisting the actual per-shard
-    postings avoids re-hashing and re-bucketing on load).
-    """
-    payload = {
-        "version": _SHARDED_FORMAT_VERSION,
-        "name": index.name,
-        "num_shards": index.num_shards,
-        "shards": [_index_payload(shard) for shard in index.shards],
-    }
-    _write_json(payload, Path(path))
-
-
-def load_sharded_index(path: Union[str, Path]) -> ShardedInvertedIndex:
-    """Restore a sharded index written by :func:`save_sharded_index`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("version") != _SHARDED_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported sharded index format version: "
-            f"{payload.get('version')!r}"
-        )
-    num_shards = int(payload["num_shards"])
-    if len(payload["shards"]) != num_shards:
-        raise ValueError(
-            f"manifest promises {num_shards} shards but carries "
-            f"{len(payload['shards'])}"
-        )
-    first = payload["shards"][0]
-    index = ShardedInvertedIndex(
-        num_shards,
-        name=payload["name"],
-        k1=first["k1"],
-        b=first["b"],
-        remove_stopwords=first["remove_stopwords"],
-        stemming=first["stemming"],
-    )
-    for shard_no, shard_payload in enumerate(payload["shards"]):
-        restored = _index_from_payload(shard_payload)
-        shard = index.shards[shard_no]
-        shard._doc_length = restored._doc_length
-        shard._total_length = restored._total_length
-        shard._postings = restored._postings
-    return index
-
-
-# ---------------------------------------------------------------------------
-# sealed (zero-copy / memmap) persistence
-# ---------------------------------------------------------------------------
 def save_sealed_index(
     index: InvertedIndex, directory: Union[str, Path]
 ) -> Path:
@@ -246,8 +117,6 @@ def save_sealed_index(
     ``corpus_stats`` view is assigned — a shard persisted this way
     keeps its *global* statistics).  Returns the snapshot directory.
     """
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
     index.seal()
     sealed = index._sealed
     directory = Path(directory)
@@ -302,8 +171,6 @@ def attach_sealed_index(
     version-skewed snapshot raises
     :class:`~repro.verify.base.VerificationError`.
     """
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
     directory = Path(directory)
     manifest = _load_manifest(directory / "manifest.json", _SEALED_KIND)
     try:
@@ -378,131 +245,5 @@ def attach_sealed_index(
         arrays["tf_flat"],
         arrays["idf_flat"],
     )
-    index._attached = True
-    return index
-
-
-def save_sealed_sharded_index(
-    index: ShardedInvertedIndex, directory: Union[str, Path]
-) -> Path:
-    """Persist every shard's sealed form under one manifest directory.
-
-    Shards are sealed against the wrapper's :class:`GlobalBM25Stats`
-    view, so the persisted idf/norm tables carry the *whole* logical
-    corpus's statistics — an attached shard ranks exactly like the
-    live one.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for shard in index.shards:
-        shard.compact()
-    shard_dirs = []
-    for shard_no, shard in enumerate(index.shards):
-        shard_dir = f"shard-{shard_no:04d}"
-        save_sealed_index(shard, directory / shard_dir)
-        shard_dirs.append(shard_dir)
-    manifest = {
-        "version": _SEALED_FORMAT_VERSION,
-        "kind": _SEALED_SHARDED_KIND,
-        "name": index.name,
-        "num_shards": index.num_shards,
-        "shards": shard_dirs,
-    }
-    _write_json(manifest, directory / "manifest.json")
-    return directory
-
-
-def attach_sealed_sharded_index(
-    directory: Union[str, Path]
-) -> ShardedInvertedIndex:
-    """Attach every shard of a sealed sharded snapshot read-only."""
-    directory = Path(directory)
-    manifest = _load_manifest(
-        directory / "manifest.json", _SEALED_SHARDED_KIND
-    )
-    try:
-        num_shards = int(manifest["num_shards"])
-        shard_dirs = list(manifest["shards"])
-        logical_name = manifest["name"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _snapshot_error(
-            f"sharded manifest in {directory} malforms a field: {exc}"
-        ) from None
-    if len(shard_dirs) != num_shards:
-        raise _snapshot_error(
-            f"sharded manifest promises {num_shards} shards but lists "
-            f"{len(shard_dirs)}"
-        )
-    attached = [
-        attach_sealed_index(directory / shard_dir)
-        for shard_dir in shard_dirs
-    ]
-    index = ShardedInvertedIndex(num_shards, name=logical_name)
-    index.shards = attached
-    # attached shards score from their baked-in sealed tables; the
-    # stats view is only consulted on (forbidden) re-seals
-    for shard in index.shards:
-        shard.corpus_stats = None
-    return index
-
-
-def save_vector_index(
-    index: FlatVectorIndex, directory: Union[str, Path]
-) -> Path:
-    """Persist a flat vector index's dense matrix + id table."""
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    matrix = np.ascontiguousarray(index._get_matrix(), dtype=np.float64)
-    manifest = {
-        "version": _SEALED_FORMAT_VERSION,
-        "kind": _SEALED_VECTOR_KIND,
-        "name": index.name,
-        "dim": index.dim,
-        "metric": index.metric,
-        "ids": list(index._ids),
-        "arrays": {
-            "matrix": {
-                "file": "matrix.bin",
-                "dtype": "float64",
-                "count": int(matrix.size),
-            }
-        },
-    }
-    matrix.tofile(directory / "matrix.bin")
-    _write_json(manifest, directory / "manifest.json")
-    return directory
-
-
-def attach_vector_index(directory: Union[str, Path]) -> FlatVectorIndex:
-    """Zero-copy attach of a vector snapshot (read-only memmap matrix)."""
-    if np is None:
-        raise RuntimeError("sealed persistence requires numpy")
-    directory = Path(directory)
-    manifest = _load_manifest(
-        directory / "manifest.json", _SEALED_VECTOR_KIND
-    )
-    try:
-        ids: List[str] = list(manifest["ids"])
-        index = FlatVectorIndex(
-            dim=int(manifest["dim"]),
-            metric=manifest["metric"],
-            name=manifest["name"],
-        )
-        spec = dict(manifest["arrays"]["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _snapshot_error(
-            f"vector manifest in {directory} malforms a field: {exc}"
-        ) from None
-    flat = _attach_array(directory, "matrix", spec)
-    if flat.size != len(ids) * index.dim:
-        raise _snapshot_error(
-            f"matrix carries {flat.size} values for {len(ids)} ids of "
-            f"dim {index.dim}"
-        )
-    index._ids = ids
-    index._id_set = set(ids)
-    index._matrix = flat.reshape(len(ids), index.dim)
     index._attached = True
     return index

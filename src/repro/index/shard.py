@@ -3,10 +3,10 @@
 The ROADMAP's scale direction: partition one logical index into N
 shards by a **stable hash of the instance id's root** (so chunk ids
 ``doc#cN`` and tuple ids ``table#rN`` co-locate with their parent
-document/table), build the shards independently — and in parallel —
-and serve ``search()`` by **scatter-gather**: query every shard,
-merge the per-shard rankings under the global ``(-score,
-instance_id)`` total order, truncate to k.
+document/table), build the shards independently, and serve
+``search()`` by **scatter-gather**: query every shard, merge the
+per-shard rankings under the global ``(-score, instance_id)`` total
+order, truncate to k.
 
 The invariant everything below is built around (and that
 ``tests/test_index_sharding.py`` proves differentially):
@@ -30,11 +30,10 @@ Mutation propagates: removing or updating an instance in one shard
 invalidates *every* shard's sealed read form (global statistics
 changed), and the next search lazily compacts and re-seals.
 
-How the scatter *runs* — serial loop, thread pool, or a process pool
-whose workers memmap-attach sealed shard snapshots — is selected per
-index by ``executor=`` (see :mod:`repro.index.executor`).  All three
-strategies call the same sealed kernels on the same arrays, so the
-choice affects wall-clock only, never a single hit or score.
+The scatter runs serially on the calling thread: one shard after
+another, with a query batch analyzed once and scored against every
+shard.  Thread and process fan-outs lost to it in a paired A/B (see
+docs/performance.md); concurrency lives at the request level instead.
 """
 
 from __future__ import annotations
@@ -42,14 +41,9 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, List, Optional
 
-try:  # numpy powers the vector shards; BM25 shards degrade to dicts
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
-from repro.index import executor as shard_executor
 from repro.index.base import SearchHit, SearchIndex
-from repro.index.executor import ShardSpool, validate_executor_mode
 from repro.index.inverted import CorpusStats, InvertedIndex
 from repro.index.vector import FlatVectorIndex
 
@@ -151,16 +145,11 @@ class ShardedInvertedIndex(SearchIndex):
         b: float = 0.75,
         remove_stopwords: bool = True,
         stemming: bool = True,
-        auto_seal: bool = True,
-        executor: str = "serial",
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.name = name
         self.num_shards = num_shards
-        self.auto_seal = auto_seal and np is not None
-        self.search_executor = validate_executor_mode(executor)
-        self._spool = ShardSpool(prefix=f"repro-{name}-")
         self.shards: List[InvertedIndex] = [
             InvertedIndex(
                 name=f"{name}/s{i}",
@@ -168,7 +157,6 @@ class ShardedInvertedIndex(SearchIndex):
                 b=b,
                 remove_stopwords=remove_stopwords,
                 stemming=stemming,
-                auto_seal=auto_seal,
             )
             for i in range(num_shards)
         ]
@@ -183,11 +171,9 @@ class ShardedInvertedIndex(SearchIndex):
 
     def _invalidate_seals(self) -> None:
         """Global statistics changed: every shard's compiled form is
-        stale, not just the mutated one's — and so is the persisted
-        spool process workers attach."""
+        stale, not just the mutated one's."""
         for shard in self.shards:
             shard.invalidate_seal()
-        self._spool.invalidate()
 
     # -- writes ---------------------------------------------------------
     def add(self, instance_id: str, payload: str) -> None:
@@ -215,22 +201,24 @@ class ShardedInvertedIndex(SearchIndex):
         """Scatter a whole query batch to every shard, gather-merge.
 
         Each shard scores the batch with the query-matrix kernel
-        (:meth:`InvertedIndex.search_matrix`); the fan-out strategy is
-        :attr:`search_executor` (``serial`` / ``thread`` / ``process``)
-        and never changes a hit or a score.
+        (:meth:`InvertedIndex.search_matrix`).
         """
         queries = list(queries)
         if not queries:
             return []
-        mode = self.search_executor
-        if mode == "process" and np is not None:
-            rankings = shard_executor.scatter_processes(
-                self.shards, self._spool, queries, k
-            )
-        elif mode == "thread":
-            rankings = shard_executor.scatter_threads(self.shards, queries, k)
+        if len(queries) == 1:
+            # let each shard take its single-query fast path
+            rankings = [
+                shard.search_batch(queries, k) for shard in self.shards
+            ]
         else:
-            rankings = shard_executor.scatter_serial(self.shards, queries, k)
+            # every shard shares the analyzer settings, so the campaign
+            # plan — analysis + inversion of the query batch — is
+            # computed once and scored against each shard
+            plan = self.shards[0].plan_matrix(queries)
+            rankings = [
+                shard.search_matrix_planned(plan, k) for shard in self.shards
+            ]
         # rankings is [shard][query]; merge per query across shards
         return [
             merge_shard_hits(
@@ -244,7 +232,7 @@ class ShardedInvertedIndex(SearchIndex):
         for shard in self.shards:
             shard.compact()
         for shard in self.shards:
-            if shard.auto_seal and len(shard):
+            if len(shard):
                 shard.seal()
         return self
 
@@ -280,7 +268,6 @@ class ShardedVectorIndex(SearchIndex):
         encoder: Optional[Callable[[str], "np.ndarray"]] = None,
         metric: str = "cosine",
         name: str = "vec-sharded",
-        executor: str = "serial",
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -288,8 +275,6 @@ class ShardedVectorIndex(SearchIndex):
         self.num_shards = num_shards
         self.dim = dim
         self._encoder = encoder
-        self.search_executor = validate_executor_mode(executor)
-        self._spool = ShardSpool(prefix=f"repro-{name}-")
         self.shards: List[FlatVectorIndex] = [
             FlatVectorIndex(
                 dim=dim, encoder=encoder, metric=metric, name=f"{name}/s{i}"
@@ -303,12 +288,10 @@ class ShardedVectorIndex(SearchIndex):
 
     def add(self, instance_id: str, payload: str) -> None:
         self.shard_for(instance_id).add(instance_id, payload)
-        self._spool.invalidate()
 
     def remove(self, instance_id: str) -> None:
         """Evict one vector (KeyError when absent)."""
         self.shard_for(instance_id).remove(instance_id)
-        self._spool.invalidate()
 
     def search(self, query: str, k: int = 10) -> List[SearchHit]:
         return self.search_batch([query], k)[0]
@@ -316,12 +299,7 @@ class ShardedVectorIndex(SearchIndex):
     def search_batch(
         self, queries: List[str], k: int = 10
     ) -> List[List[SearchHit]]:
-        """Encode the batch once, scatter the vectors to every shard.
-
-        The fan-out strategy is :attr:`search_executor`; the encoder
-        always runs in the parent process (worker processes only ever
-        see dense vectors).
-        """
+        """Encode the batch once, scatter the vectors to every shard."""
         if self._encoder is None:
             raise RuntimeError(
                 f"{type(self).__name__} has no encoder; construct with "
@@ -334,19 +312,10 @@ class ShardedVectorIndex(SearchIndex):
             np.asarray(self._encoder(query), dtype=np.float64)
             for query in queries
         ]
-        mode = self.search_executor
-        if mode == "process":
-            rankings = shard_executor.scatter_processes_vectors(
-                self.shards, self._spool, vectors, k
-            )
-        elif mode == "thread":
-            rankings = shard_executor.scatter_threads_vectors(
-                self.shards, vectors, k
-            )
-        else:
-            rankings = shard_executor.scatter_serial_vectors(
-                self.shards, vectors, k
-            )
+        rankings = [
+            [shard.search_vector(vector, k) for vector in vectors]
+            for shard in self.shards
+        ]
         return [
             merge_shard_hits(
                 [per_shard[qi] for per_shard in rankings], k, self.name

@@ -124,31 +124,11 @@ class FlatVectorIndex(VectorIndex):
         super().__init__(dim, encoder=encoder, metric=metric, name=name)
         self._rows: List[np.ndarray] = []
         self._matrix: Optional[np.ndarray] = None
-        # serializes the lazy vstack in _get_matrix(): vector shards
-        # are searched from a thread pool, and two searchers hitting
-        # an invalidated cache must not build (and publish) twice
+        # serializes the lazy vstack in _get_matrix(): batch workers
+        # and serve request threads search one shared index, and two
+        # searchers hitting an invalidated cache must not build (and
+        # publish) twice
         self._matrix_lock = threading.Lock()
-        #: True for an index memmap-attached from a persisted snapshot
-        #: (read-only: the matrix is a shared on-disk artifact)
-        self._attached = False
-
-    @property
-    def is_attached(self) -> bool:
-        """True for a read-only memmap attachment of a persisted matrix."""
-        return self._attached
-
-    def _forbid_attached_mutation(self, action: str) -> None:
-        if self._attached:
-            from repro.verify.base import VerificationError
-
-            raise VerificationError(
-                f"cannot {action} on a memmap-attached vector index "
-                f"({self.name!r}): attached snapshots are read-only"
-            )
-
-    def add_vector(self, instance_id: str, vector: np.ndarray) -> None:
-        self._forbid_attached_mutation("add")
-        super().add_vector(instance_id, vector)
 
     def _store(self, instance_id: str, vector: np.ndarray) -> None:
         self._rows.append(vector)
@@ -161,7 +141,6 @@ class FlatVectorIndex(VectorIndex):
         O(n) — the flat index is a dense list; fine for the live-
         mutation rates the indexer sees (bulk churn goes through a
         rebuild)."""
-        self._forbid_attached_mutation("remove")
         try:
             index = self._ids.index(instance_id)
         except ValueError:
@@ -204,9 +183,4 @@ class FlatVectorIndex(VectorIndex):
 
     def vector_of(self, instance_id: str) -> np.ndarray:
         """Stored vector of an instance (for tests and rerankers)."""
-        index = self._ids.index(instance_id)
-        # attached indexes have no per-row list; read the (memmapped)
-        # matrix instead — same values either way
-        if self._rows:
-            return self._rows[index]
-        return np.asarray(self._get_matrix()[index])
+        return self._rows[self._ids.index(instance_id)]

@@ -22,11 +22,6 @@ never exceed the configured width.  Each request's verification runs
 under a fresh metrics :class:`~repro.obs.metrics.Scope` and records a
 span tree whose trace id lands in the provenance record (and the
 response), closing the request → trace → record loop.
-
-Startup order matters on purpose: the shard process pool is configured
-and (when the system scatters to processes) warmed **before** the first
-request thread exists — forking after threads is the hazard the
-executor lifecycle API exists to avoid.
 """
 
 from __future__ import annotations
@@ -38,10 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
 from repro.core.pipeline import VerifAI
-from repro.index.executor import (
-    configure_process_pool,
-    shutdown_process_pool,
-)
 from repro.obs.clock import Clock
 from repro.obs.events import (
     EventLog,
@@ -52,7 +43,7 @@ from repro.obs.export import trace_to_dict
 from repro.obs.metrics import Histogram, get_registry
 from repro.obs.profile import StackSampler
 from repro.serve.admission import AdmissionController, ServiceOverloaded
-from repro.serve.config import ServeConfig, default_pool_start_method
+from repro.serve.config import ServeConfig
 from repro.serve.http import (
     ConnectionClosed,
     HttpError,
@@ -138,19 +129,7 @@ class VerificationService:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Configure the process pool, build indexes, open the socket."""
-        start_method = (
-            self.config.pool_start_method or default_pool_start_method()
-        )
-        # warm eagerly only when searches will actually scatter to
-        # processes; otherwise just record the server-safe config for a
-        # later opt-in without paying worker startup now
-        warm = self.system.config.shard_search_executor == "process"
-        configure_process_pool(
-            max_workers=self.config.pool_workers,
-            start_method=start_method,
-            warm=warm,
-        )
+        """Build indexes, start the worker pool, open the socket."""
         self.system.build_indexes()
         install_event_log(self.events)
         self._executor = ThreadPoolExecutor(
@@ -162,7 +141,7 @@ class VerificationService:
         )
 
     async def stop(self) -> None:
-        """Close the socket, drain workers, tear down the process pool."""
+        """Close the socket, drain connections and workers."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -179,7 +158,6 @@ class VerificationService:
             self._executor.shutdown(wait=True)
             self._executor = None
         uninstall_event_log(self.events)
-        shutdown_process_pool()
 
     @property
     def address(self) -> tuple:

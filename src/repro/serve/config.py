@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.clock import Clock
-
-
-def default_pool_start_method() -> Optional[str]:
-    """The start method a long-lived threaded server should use for the
-    shard process pool.
-
-    ``fork`` — the one-shot CLI default — is unsafe once the server's
-    request threads exist (a post-crash respawn would fork a threaded
-    parent), so prefer ``forkserver`` (forks from a clean single-thread
-    helper) and fall back to ``spawn``.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "forkserver" in methods:
-        return "forkserver"
-    if "spawn" in methods:
-        return "spawn"
-    return None  # pragma: no cover - every CPython platform has spawn
 
 
 @dataclass
@@ -43,11 +25,6 @@ class ServeConfig:
       ``/verify-batch`` body may ask for;
     * ``trace_cache_size`` — finished request traces kept for
       ``GET /trace/<trace_id>`` (oldest evicted first);
-    * ``pool_workers`` / ``pool_start_method`` — forwarded to
-      :func:`repro.index.executor.configure_process_pool` at startup so
-      the shard process pool is created *before* request threads exist
-      (``None`` start method resolves to
-      :func:`default_pool_start_method`);
     * ``event_log_size`` — flight-recorder ring capacity (the last N
       structured events behind ``GET /debug/events``);
     * ``slow_request_seconds`` — requests slower than this are recorded
@@ -68,8 +45,6 @@ class ServeConfig:
     max_batch_objects: int = 256
     batch_max_workers: int = 4
     trace_cache_size: int = 512
-    pool_workers: Optional[int] = None
-    pool_start_method: Optional[str] = None
     event_log_size: int = 512
     slow_request_seconds: float = 1.0
     debug_profile_max_seconds: float = 10.0

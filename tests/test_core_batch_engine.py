@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core.batch import BatchEngine, BatchStats
+from repro.core.config import VerifAIConfig
 from repro.core.pipeline import VerifAI
 from repro.llm.model import SimulatedLLM
+from repro.obs.clock import TickClock
+from repro.obs.export import render_trace_json
+from repro.obs.metrics import get_registry
 from repro.verify.objects import TupleObject
 from repro.workloads.builder import LakeConfig, build_lake
 
@@ -159,3 +163,59 @@ class TestEngineEdges:
         system.config.batch_max_workers = 3
         batch = system.verify_batch(workload[:2])
         assert batch.stats.max_workers == 3
+
+
+# ---------------------------------------------------------------------------
+# system level: the matrix prefill is invisible in reports AND traces
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def trace_bundle():
+    return build_lake(LakeConfig(num_tables=12, seed=33))
+
+
+@pytest.fixture(scope="module")
+def trace_workload(trace_bundle):
+    return [
+        TupleObject(f"obj-{i}", table.row(0), attribute=table.columns[1])
+        for i, table in enumerate(trace_bundle.tables[:5])
+    ]
+
+
+def traced_run(bundle, workload):
+    system = VerifAI(
+        bundle.lake,
+        llm=SimulatedLLM(knowledge=None, seed=26),
+        config=VerifAIConfig(num_shards=2),
+        clock=TickClock(),
+    ).build_indexes()
+    return system.verify_batch(workload, trace=True)
+
+
+class TestSystemInvariance:
+    def test_matrix_prefill_is_invisible_in_traces(
+        self, trace_bundle, trace_workload, monkeypatch
+    ):
+        with_matrix = traced_run(trace_bundle, trace_workload)
+
+        def broken_prefill(self, *args, **kwargs):
+            raise RuntimeError("injected prefill fault")
+
+        # a failing prefill leaves the retrieval cache cold, so every
+        # object falls back to its own per-object retrieval
+        monkeypatch.setattr(VerifAI, "retrieval_stages_batch", broken_prefill)
+        failures = get_registry().counter("batch.matrix_prefill_failures")
+        before = failures.value
+        without = traced_run(trace_bundle, trace_workload)
+        assert failures.value > before
+        assert without.stats.matrix_batches == 0
+        assert render_trace_json(with_matrix.trace) == render_trace_json(
+            without.trace
+        )
+        assert [
+            (r.object_id, r.final_verdict) for r in with_matrix.reports
+        ] == [(r.object_id, r.final_verdict) for r in without.reports]
+
+    def test_matrix_prefill_counted(self, trace_bundle, trace_workload):
+        batch = traced_run(trace_bundle, trace_workload)
+        assert batch.stats.matrix_batches > 0
+        assert "matrix batches" in batch.stats.summary()

@@ -4,9 +4,12 @@ Seeded random add/remove/update interleavings run against a live
 ``IndexerModule`` (and, at the pipeline level, ``VerifAI``); after each
 burst the mutated indexes must answer every probe query hit-for-hit
 identically — ids and scores — to a brand-new build of the lake's final
-state.  The longer soak lives behind the ``slow`` marker (excluded from
+state, and each live BM25 index must equal the dict-postings oracle
+(tests/bm25_oracle.py) over a monolithic rebuild.  The longer soak lives behind the ``slow`` marker (excluded from
 tier-1; run with ``pytest -m slow`` or ``make test-shard``).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +18,8 @@ from repro.core.indexer import IndexerModule
 from repro.core.pipeline import VerifAI
 from repro.datalake.types import Modality, Table, TextDocument
 from repro.workloads.builder import LakeConfig, build_lake
+
+from tests.bm25_oracle import oracle_search
 
 PROBES = [
     "largest cities by population",
@@ -54,11 +59,22 @@ def assert_matches_rebuild(lake, indexer, config, context):
     """The live, mutated indexer answers exactly like a fresh build of
     the lake's current state — the churn invariant."""
     rebuilt = IndexerModule(lake, config).build()
+    monolithic = (
+        rebuilt if config.num_shards == 1
+        else IndexerModule(lake, replace(config, num_shards=1)).build()
+    )
     for modality in MODALITIES:
         live_index = indexer.content_index(modality)
         rebuilt_index = rebuilt.content_index(modality)
         assert len(live_index) == len(rebuilt_index), (context, modality)
+        oracle_index = monolithic.content_index(modality)
         for query in PROBES:
+            assert [
+                (h.instance_id, h.score) for h in live_index.search(query, 10)
+            ] == [
+                (h.instance_id, h.score)
+                for h in oracle_search(oracle_index, query, 10)
+            ], (context, modality.value, query, "oracle")
             expected = [
                 (h.instance_id, h.score)
                 for h in rebuilt.search(query, modality, 10)

@@ -1,6 +1,7 @@
 """Differential tests: the sealed (vectorized) BM25 path must return
-byte-identical hit lists to the dict reference scorer, including on the
-seeded medium experiment workload."""
+byte-identical hit lists to the dict-postings oracle
+(tests/bm25_oracle.py), including on the seeded medium experiment
+workload."""
 
 import random
 import string
@@ -11,6 +12,8 @@ from repro.datalake.serialize import serialize_row
 from repro.datalake.types import Modality
 from repro.experiments import get_context
 from repro.index.inverted import InvertedIndex
+
+from tests.bm25_oracle import oracle_search
 
 
 def as_tuples(hits):
@@ -37,7 +40,7 @@ class TestSealedLifecycle:
         index.add("d2", "alpha alpha alpha")
         assert not index.is_sealed
         hits = index.search("alpha", 5)
-        assert as_tuples(hits) == as_tuples(index.search_dict("alpha", 5))
+        assert as_tuples(hits) == as_tuples(oracle_search(index, "alpha", 5))
         assert hits[0].instance_id == "d2"
 
     def test_seal_is_idempotent(self):
@@ -55,12 +58,6 @@ class TestSealedLifecycle:
         assert index.search("", 5) == []
         assert index.search("zzz-not-there", 5) == []
 
-    def test_auto_seal_off_uses_dict_path(self):
-        index = InvertedIndex(auto_seal=False)
-        index.add("d1", "alpha beta")
-        index.search("alpha", 5)
-        assert not index.is_sealed
-
 
 class TestDifferentialRandom:
     def test_random_corpus_bit_identical(self):
@@ -77,12 +74,12 @@ class TestDifferentialRandom:
             query = " ".join(rng.choices(vocab, k=rng.randint(1, 6)))
             k = rng.choice([1, 2, 5, 20, 500])
             assert as_tuples(index.search(query, k)) == as_tuples(
-                index.search_dict(query, k)
+                oracle_search(index, query, k)
             )
 
 
 class TestDifferentialMediumWorkload:
-    """The acceptance bar: sealed == dict on the seeded medium lake."""
+    """The acceptance bar: sealed == oracle on the seeded medium lake."""
 
     @pytest.mark.parametrize("modality", [Modality.TUPLE, Modality.TABLE,
                                           Modality.TEXT])
@@ -97,5 +94,5 @@ class TestDifferentialMediumWorkload:
         for query in queries:
             for k in (3, 10, 50):
                 assert as_tuples(index.search(query, k)) == as_tuples(
-                    index.search_dict(query, k)
-                ), f"sealed/dict divergence on {modality} k={k}"
+                    oracle_search(index, query, k)
+                ), f"sealed/oracle divergence on {modality} k={k}"

@@ -4,19 +4,23 @@ The contract under test (src/repro/index/inverted.py): scoring a whole
 campaign of queries against a sealed shard in one vectorized pass
 (``search_matrix`` / ``search_batch``) returns, query for query, the
 bit-identical ``(instance_id, score)`` rankings of the per-query paths
-— the sealed single-query kernel AND the original dict walk.  Equality
+— the sealed single-query kernel AND the dict-postings oracle
+(tests/bm25_oracle.py).  Equality
 is exact float64 equality, never approx: both paths accumulate
 contributions in the same canonical sorted-token order, so IEEE
 addition order matches and the scores agree to the last bit.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import VerifAIConfig
 from repro.core.indexer import IndexerModule
 from repro.datalake.types import Modality
 from repro.index.inverted import InvertedIndex
 from repro.index.shard import ShardedInvertedIndex
+
+from tests.bm25_oracle import oracle_search
 
 SHARD_COUNTS = [1, 2, 4]
 
@@ -71,7 +75,7 @@ class TestMatrixKernel:
     def test_matrix_matches_sealed_and_dict_paths_bitwise(self):
         index = build_index()
         expected_dict = [
-            pairs(index.search_dict(q, 5)) for q in MICRO_QUERIES
+            pairs(oracle_search(index, q, 5)) for q in MICRO_QUERIES
         ]
         index.seal()
         expected_sealed = [pairs(index.search(q, 5)) for q in MICRO_QUERIES]
@@ -191,3 +195,93 @@ class TestIndexerBatch:
             pairs(h)
             for h in indexer.search_batch(QUERIES, Modality.TABLE, 10)
         ] == [pairs(indexer.search(q, Modality.TABLE, 10)) for q in QUERIES]
+
+
+# ---------------------------------------------------------------------------
+# property: every search face equals the oracle on churned corpora
+# ---------------------------------------------------------------------------
+#: small vocabulary (with a stopword) so random documents share terms
+PROPERTY_WORDS = ["fox", "dog", "meadow", "dusk", "hound", "brown", "the"]
+
+PROPERTY_QUERIES = ["fox", "dog dog meadow", "brown hound dusk", "the", ""]
+
+document = st.lists(st.sampled_from(PROPERTY_WORDS), max_size=6).map(
+    " ".join
+)
+
+
+@st.composite
+def churned_corpus(draw):
+    """``(ops, k)``: 0–12 adds, then removals and re-adds of any of them.
+
+    Removals may take every document (an all-removed corpus), and with
+    so few documents some of three shards are usually empty.
+    """
+    texts = draw(st.lists(document, max_size=12))
+    ids = [f"d{i:02d}" for i in range(len(texts))]
+    ops = [("add", doc_id, text) for doc_id, text in zip(ids, texts)]
+    removed = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    ops += [("remove", doc_id, None) for doc_id in removed]
+    if removed:
+        readded = draw(st.lists(st.sampled_from(removed), unique=True))
+        ops += [("add", doc_id, draw(document)) for doc_id in readded]
+    k = draw(st.sampled_from([-1, 0, 1, 3, len(texts) + 5]))
+    return ops, k
+
+
+def apply_ops(index, ops, probe):
+    """Replay ``ops``; search once between the adds and the first
+    removal so the removals invalidate a live seal."""
+    searched = False
+    for op, doc_id, text in ops:
+        if op == "remove" and not searched:
+            index.search(probe, 3)
+            searched = True
+        if op == "add":
+            index.add(doc_id, text)
+        else:
+            index.remove(doc_id)
+    return index
+
+
+class TestOracleProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(churned_corpus())
+    @example(([], 3))  # empty corpus
+    @example((
+        [("add", "d00", "fox dog"), ("add", "d01", "fox"),
+         ("remove", "d00", None), ("remove", "d01", None)],
+        1,
+    ))  # every document removed
+    def test_every_search_face_equals_oracle(self, case):
+        ops, k = case
+        probe = PROPERTY_QUERIES[0]
+        # the oracle scores a fresh build of the corpus the ops leave
+        # behind, so a mutation bug cannot hide in shared index state
+        final = {}
+        for op, doc_id, text in ops:
+            if op == "add":
+                final[doc_id] = text
+            else:
+                del final[doc_id]
+        fresh = InvertedIndex(name="prop")
+        for doc_id, text in final.items():
+            fresh.add(doc_id, text)
+        expected = [
+            pairs(oracle_search(fresh, q, k)) for q in PROPERTY_QUERIES
+        ]
+        mono = apply_ops(InvertedIndex(name="prop"), ops, probe)
+        assert [pairs(mono.search(q, k)) for q in PROPERTY_QUERIES] == expected
+        assert [
+            pairs(h) for h in mono.search_batch(PROPERTY_QUERIES, k)
+        ] == expected
+        for num_shards in (1, 3):
+            sharded = apply_ops(
+                ShardedInvertedIndex(num_shards, name="prop"), ops, probe
+            )
+            assert [
+                pairs(h) for h in sharded.search_batch(PROPERTY_QUERIES, k)
+            ] == expected, num_shards
+            assert [
+                pairs(sharded.search(q, k)) for q in PROPERTY_QUERIES
+            ] == expected, num_shards

@@ -21,17 +21,10 @@ import numpy as np
 import pytest
 
 from repro.index.inverted import InvertedIndex
-from repro.index.persistence import (
-    attach_sealed_index,
-    attach_sealed_sharded_index,
-    attach_vector_index,
-    save_sealed_index,
-    save_sealed_sharded_index,
-    save_vector_index,
-)
-from repro.index.shard import ShardedInvertedIndex
-from repro.index.vector import FlatVectorIndex
+from repro.index.persistence import attach_sealed_index, save_sealed_index
 from repro.verify.base import VerificationError
+
+from tests.bm25_oracle import oracle_search
 
 WORDS = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta",
@@ -85,9 +78,12 @@ class TestRoundTrip:
         assert len(attached) == len(original)
         for query in QUERIES:
             for k in (1, 3, 10, 1000):
-                assert ranking(attached, query, k) == ranking(
-                    original, query, k
-                )
+                expected = [
+                    (h.instance_id, h.score)
+                    for h in oracle_search(original, query, k)
+                ]
+                assert ranking(original, query, k) == expected
+                assert ranking(attached, query, k) == expected
 
     def test_attach_uses_memmap_not_reanalysis(self, snapshot_dir):
         attached = attach_sealed_index(snapshot_dir)
@@ -171,20 +167,6 @@ class TestAttachedIsReadOnly:
             build_index(), "alpha"
         )
 
-    def test_vector_mutations_refused(self, tmp_path):
-        index = FlatVectorIndex(dim=4, name="vec-test")
-        rng = np.random.default_rng(5)
-        for i in range(12):
-            index.add_vector(f"v-{i}", rng.standard_normal(4))
-        save_vector_index(index, tmp_path / "vec")
-        attached = attach_vector_index(tmp_path / "vec")
-        with pytest.raises(VerificationError):
-            attached.add_vector("v-new", np.ones(4))
-        with pytest.raises(VerificationError):
-            attached.remove_vector("v-0")
-        # the refusal did not register the id
-        assert "v-new" not in attached
-
 
 # ---------------------------------------------------------------------------
 # corruption: clean VerificationError, never garbage
@@ -234,67 +216,3 @@ class TestCorruption:
         (snapshot_dir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(VerificationError):
             attach_sealed_index(snapshot_dir)
-
-
-# ---------------------------------------------------------------------------
-# sharded snapshots
-# ---------------------------------------------------------------------------
-class TestShardedSnapshot:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_sharded_round_trip_identical(self, tmp_path, num_shards):
-        docs = corpus(seed=29)
-        sharded = ShardedInvertedIndex(num_shards=num_shards)
-        for doc_id, payload in docs.items():
-            sharded.add(doc_id, payload)
-        expected = {q: ranking(sharded, q) for q in QUERIES}
-        save_sealed_sharded_index(sharded, tmp_path / "sharded")
-        attached = attach_sealed_sharded_index(tmp_path / "sharded")
-        assert attached.num_shards == num_shards
-        assert len(attached) == len(sharded)
-        for query in QUERIES:
-            assert ranking(attached, query) == expected[query]
-
-    def test_sharded_snapshot_rejects_missing_shard(self, tmp_path):
-        sharded = ShardedInvertedIndex(num_shards=2)
-        for doc_id, payload in corpus(n=20).items():
-            sharded.add(doc_id, payload)
-        save_sealed_sharded_index(sharded, tmp_path / "s")
-        import shutil
-
-        shutil.rmtree(tmp_path / "s" / "shard-0001")
-        with pytest.raises(VerificationError):
-            attach_sealed_sharded_index(tmp_path / "s")
-
-
-# ---------------------------------------------------------------------------
-# vector snapshots
-# ---------------------------------------------------------------------------
-class TestVectorSnapshot:
-    def test_vector_round_trip_identical(self, tmp_path):
-        rng = np.random.default_rng(11)
-        index = FlatVectorIndex(dim=16, name="vec")
-        for i in range(40):
-            index.add_vector(f"v-{i:03d}", rng.standard_normal(16))
-        save_vector_index(index, tmp_path / "vec")
-        attached = attach_vector_index(tmp_path / "vec")
-        assert attached.is_attached
-        assert len(attached) == len(index)
-        for probe in range(6):
-            vector = rng.standard_normal(16)
-            assert [
-                (h.instance_id, h.score)
-                for h in attached.search_vector(vector, 8)
-            ] == [
-                (h.instance_id, h.score)
-                for h in index.search_vector(vector, 8)
-            ]
-
-    def test_vector_truncation_detected(self, tmp_path):
-        index = FlatVectorIndex(dim=8, name="vec")
-        index.add_vector("a", np.ones(8))
-        index.add_vector("b", np.zeros(8))
-        save_vector_index(index, tmp_path / "vec")
-        matrix = tmp_path / "vec" / "matrix.bin"
-        matrix.write_bytes(matrix.read_bytes()[:16])
-        with pytest.raises(VerificationError):
-            attach_vector_index(tmp_path / "vec")

@@ -1,17 +1,15 @@
-"""Inverted-index snapshot/restore (monolithic and sharded)."""
+"""Inverted-index snapshot/restore through the sealed snapshot format.
+
+Complements tests/test_index_memmap.py (memmap attach, corruption) with
+non-default BM25 parameters and the empty index."""
 
 import json
 
 import pytest
 
 from repro.index.inverted import InvertedIndex
-from repro.index.persistence import (
-    load_inverted_index,
-    load_sharded_index,
-    save_inverted_index,
-    save_sharded_index,
-)
-from repro.index.shard import ShardedInvertedIndex
+from repro.index.persistence import attach_sealed_index, save_sealed_index
+from repro.verify.base import VerificationError
 
 
 @pytest.fixture()
@@ -25,116 +23,35 @@ def index():
 
 class TestRoundTrip:
     def test_identical_search_results(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        save_inverted_index(index, path)
-        loaded = load_inverted_index(path)
+        save_sealed_index(index, tmp_path / "snap")
+        loaded = attach_sealed_index(tmp_path / "snap")
         for query in ("tom jenkins", "ohio republican", "102,000", "zzz"):
-            original = [(h.instance_id, round(h.score, 9))
+            original = [(h.instance_id, h.score)
                         for h in index.search(query, 3)]
-            restored = [(h.instance_id, round(h.score, 9))
+            restored = [(h.instance_id, h.score)
                         for h in loaded.search(query, 3)]
             assert original == restored
 
     def test_parameters_preserved(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        save_inverted_index(index, path)
-        loaded = load_inverted_index(path)
+        save_sealed_index(index, tmp_path / "snap")
+        loaded = attach_sealed_index(tmp_path / "snap")
         assert loaded.name == "snap"
         assert loaded.k1 == 1.5
         assert loaded.b == 0.6
         assert len(loaded) == len(index)
         assert loaded.avg_doc_length == index.avg_doc_length
 
-    def test_loaded_index_accepts_new_documents(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        save_inverted_index(index, path)
-        loaded = load_inverted_index(path)
-        loaded.add("d4", "a brand new document")
-        assert loaded.search("brand new", 1)[0].instance_id == "d4"
-        with pytest.raises(ValueError):
-            loaded.add("d1", "duplicate")
-
     def test_bad_version_rejected(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        save_inverted_index(index, path)
+        save_sealed_index(index, tmp_path / "snap")
+        path = tmp_path / "snap" / "manifest.json"
         payload = json.loads(path.read_text())
         payload["version"] = 0
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_inverted_index(path)
+        with pytest.raises(VerificationError, match="version"):
+            attach_sealed_index(tmp_path / "snap")
 
     def test_empty_index(self, tmp_path):
-        path = tmp_path / "empty.json"
-        save_inverted_index(InvertedIndex(), path)
-        loaded = load_inverted_index(path)
+        save_sealed_index(InvertedIndex(), tmp_path / "empty")
+        loaded = attach_sealed_index(tmp_path / "empty")
         assert len(loaded) == 0
         assert loaded.search("anything") == []
-
-
-DOCS = [
-    ("d1", "tom jenkins republican ohio votes 102,000"),
-    ("d2", "bill hess republican ohio"),
-    ("d3", "basketball jordan chicago"),
-    ("d4", "ohio election results by district"),
-    ("d5", "chicago bulls championship season"),
-]
-
-
-@pytest.fixture()
-def sharded():
-    idx = ShardedInvertedIndex(3, name="snap-sharded", k1=1.5, b=0.6)
-    for doc_id, text in DOCS:
-        idx.add(doc_id, text)
-    return idx
-
-
-class TestShardedRoundTrip:
-    def test_identical_search_results(self, sharded, tmp_path):
-        path = tmp_path / "sharded.json"
-        save_sharded_index(sharded, path)
-        loaded = load_sharded_index(path)
-        assert loaded.num_shards == sharded.num_shards
-        assert loaded.name == "snap-sharded"
-        for query in ("ohio republican", "chicago", "district", "zzz"):
-            assert [
-                (h.instance_id, h.score) for h in loaded.search(query, 5)
-            ] == [(h.instance_id, h.score) for h in sharded.search(query, 5)]
-
-    def test_tombstones_compacted_before_save(self, sharded, tmp_path):
-        sharded.remove("d2")
-        assert sharded.pending_tombstones == 1
-        path = tmp_path / "sharded.json"
-        save_sharded_index(sharded, path)
-        assert sharded.pending_tombstones == 0
-        loaded = load_sharded_index(path)
-        assert len(loaded) == len(DOCS) - 1
-        assert "d2" not in loaded
-        hits = loaded.search("republican ohio", 5)
-        assert all(h.instance_id != "d2" for h in hits)
-
-    def test_loaded_index_stays_mutable(self, sharded, tmp_path):
-        path = tmp_path / "sharded.json"
-        save_sharded_index(sharded, path)
-        loaded = load_sharded_index(path)
-        loaded.add("d9", "a brand new springfield document")
-        assert loaded.search("springfield", 1)[0].instance_id == "d9"
-        loaded.remove("d1")
-        assert "d1" not in loaded
-
-    def test_bad_version_rejected(self, sharded, tmp_path):
-        path = tmp_path / "sharded.json"
-        save_sharded_index(sharded, path)
-        payload = json.loads(path.read_text())
-        payload["version"] = 0
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_sharded_index(path)
-
-    def test_shard_count_mismatch_rejected(self, sharded, tmp_path):
-        path = tmp_path / "sharded.json"
-        save_sharded_index(sharded, path)
-        payload = json.loads(path.read_text())
-        payload["shards"] = payload["shards"][:-1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_sharded_index(path)

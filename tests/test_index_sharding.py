@@ -5,7 +5,8 @@ any shard count — answers every query hit-for-hit identically, ids AND
 scores, to the monolithic index over the same corpus.  These tests
 compare full ``(instance_id, score)`` tuples, never just id sets, for
 shard counts {1, 2, 3, 4, 7} across the BM25, semantic, and
-chunked-text fold paths.
+chunked-text fold paths.  The direct index tests also hold both sides
+to the dict-postings oracle (tests/bm25_oracle.py).
 """
 
 import pytest
@@ -24,6 +25,8 @@ from repro.index.shard import (
     shard_of,
 )
 from repro.index.base import SearchHit
+
+from tests.bm25_oracle import oracle_search
 
 SHARD_COUNTS = [1, 2, 3, 4, 7]
 
@@ -182,21 +185,6 @@ class TestShardCountInvariance:
                     == ranking(plain, query, modality)
                 )
 
-    def test_serial_build_matches_parallel_build(self, small_bundle):
-        parallel = IndexerModule(
-            small_bundle.lake, VerifAIConfig(num_shards=4)
-        ).build()
-        serial = IndexerModule(
-            small_bundle.lake,
-            VerifAIConfig(num_shards=4, shard_build_workers=1),
-        ).build()
-        for modality in MODALITIES:
-            for query in QUERIES:
-                assert (
-                    ranking(serial, query, modality)
-                    == ranking(parallel, query, modality)
-                )
-
 
 # ---------------------------------------------------------------------------
 # the sharded index types directly
@@ -209,6 +197,10 @@ DOCS = [
     ("d5", "dogs and foxes share the meadow at dusk"),
     ("d6", "quick reflexes help the hound catch nothing"),
 ]
+
+
+def pairs(hits):
+    return [(h.instance_id, h.score) for h in hits]
 
 
 def build_pair(num_shards):
@@ -225,9 +217,9 @@ class TestShardedInvertedIndex:
     def test_search_identical_to_monolithic(self, num_shards):
         mono, sharded = build_pair(num_shards)
         for query in ("quick brown fox", "lazy meadow", "hound", "dusk"):
-            assert [
-                (h.instance_id, h.score) for h in sharded.search(query, 6)
-            ] == [(h.instance_id, h.score) for h in mono.search(query, 6)]
+            expected = pairs(oracle_search(mono, query, 6))
+            assert pairs(mono.search(query, 6)) == expected
+            assert pairs(sharded.search(query, 6)) == expected
 
     def test_global_stats_match_monolithic(self):
         mono, sharded = build_pair(3)
@@ -250,18 +242,18 @@ class TestShardedInvertedIndex:
             if doc_id != "d1":
                 mono.add(doc_id, text)
         for query in ("quick brown fox", "lazy meadow"):
-            assert [
-                (h.instance_id, h.score) for h in sharded.search(query, 6)
-            ] == [(h.instance_id, h.score) for h in mono.search(query, 6)]
+            assert pairs(sharded.search(query, 6)) == pairs(
+                oracle_search(mono, query, 6)
+            )
 
     def test_update_routes_and_matches_rebuild(self):
         mono, sharded = build_pair(4)
         sharded.update("d3", "sunny mornings in the green meadow")
         mono.update("d3", "sunny mornings in the green meadow")
         for query in ("meadow", "green sunny", "quick fox"):
-            assert [
-                (h.instance_id, h.score) for h in sharded.search(query, 6)
-            ] == [(h.instance_id, h.score) for h in mono.search(query, 6)]
+            expected = pairs(oracle_search(mono, query, 6))
+            assert pairs(mono.search(query, 6)) == expected
+            assert pairs(sharded.search(query, 6)) == expected
 
     def test_len_contains_tombstones(self):
         _, sharded = build_pair(3)
